@@ -8,7 +8,8 @@
 # the flow-service protocol/queue suites (`ctest -L serve`), and the perf
 # smokes (`ctest -L perf`: bench_route --smoke asserts the windowed search
 # pops fewer nodes than full-grid at equal-or-better QoR; bench_serve
-# --smoke asserts the serving cache-reuse contract).
+# --smoke asserts the serving cache-reuse contract; bench_hpwl_ablation and
+# bench_sta --smoke check the placer and timing engines).
 # Use `ctest --test-dir build` with no label filter for the full tier-1 run.
 #
 # Usage: scripts/quickcheck.sh [build-dir]   (default: build)
@@ -38,11 +39,11 @@ mkdir -p "$SMOKE_DIR"
   --wall-threshold 75
 echo "quickcheck: regression gate self-consistency OK"
 
-# Checked-in baseline gate: the smoke scalars (kernel pops, partitioned
-# region census + 1v2-thread bit-identity, ECO reuse counts) are pure
-# functions of the algorithm, so they must match bench/baselines/ exactly
-# on any machine. Only wall clock varies across hosts; the huge threshold
-# effectively exempts it while still catching a hung run.
+# Checked-in baseline gate: the smoke scalars (kernel pops, batch-router
+# 1v2-thread bit-identity, ECO reuse counts) are pure functions of the
+# algorithm, so they must match bench/baselines/ exactly on any machine.
+# Only wall clock varies across hosts; the huge threshold effectively
+# exempts it while still catching a hung run.
 "$BUILD_ABS/src/report/m3d_report" diff bench/baselines/BENCH_route_smoke.json \
   "$SMOKE_DIR/cur.json" --wall-threshold 10000
 echo "quickcheck: route smoke matches checked-in baseline"
@@ -103,14 +104,13 @@ echo "quickcheck: serve smoke matches checked-in baseline"
   "$SMOKE_DIR/BENCH_hpwl_ablation_smoke.json" --wall-threshold 10000
 echo "quickcheck: hpwl-ablation smoke matches checked-in baseline"
 
-# Incremental-STA gate: bench_sta --smoke A/Bs the persistent engine
-# against from-scratch rebuilds (per-edit WNS, exact-vs-bisect min-period,
-# opt-stage hash identity). All scalars except wall clock and the
-# wall-derived speedup ratios are pure functions of the deterministic
-# engine, so they must match the checked-in baseline exactly.
+# Incremental-STA gate: bench_sta --smoke checks the persistent engine
+# against a fresh Sta after every edit and records the exact min period and
+# the opt-stage QoR. All scalars except wall clock and the wall-derived
+# edit speedup are pure functions of the deterministic engine, so they must
+# match the checked-in baseline exactly.
 (cd "$SMOKE_DIR" && "$BUILD_ABS/bench/bench_sta" --smoke > /dev/null)
 "$BUILD_ABS/src/report/m3d_report" diff bench/baselines/BENCH_sta_smoke.json \
   "$SMOKE_DIR/BENCH_sta_smoke.json" --wall-threshold 10000 \
-  --metric scalars.edit_speedup=100000 --metric scalars.minp_speedup=100000 \
-  --metric scalars.opt_speedup=100000
+  --metric scalars.edit_speedup=100000
 echo "quickcheck: sta smoke matches checked-in baseline"

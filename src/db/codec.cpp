@@ -650,10 +650,6 @@ void encodeRoutingResult(BinWriter& w, const RoutingResult& routes) {
   w.i64(routes.nodesPopped);
   w.i64(routes.nodesRelaxed);
   w.i64(routes.windowFallbacks);
-  // Format v3: region-parallel and incremental-ECO statistics.
-  w.i32(routes.regionCount);
-  w.i64(routes.regionLocalNets);
-  w.i64(routes.regionCrossNets);
   w.i64(routes.ecoDirtyGcells);
   w.i64(routes.ecoNetsReused);
   w.i64(routes.ecoNetsRipped);
@@ -691,9 +687,6 @@ bool decodeRoutingResult(BinReader& r, RoutingResult& out) {
   out.nodesPopped = r.i64();
   out.nodesRelaxed = r.i64();
   out.windowFallbacks = r.i64();
-  out.regionCount = r.i32();
-  out.regionLocalNets = r.i64();
-  out.regionCrossNets = r.i64();
   out.ecoDirtyGcells = r.i64();
   out.ecoNetsReused = r.i64();
   out.ecoNetsRipped = r.i64();

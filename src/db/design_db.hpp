@@ -35,7 +35,7 @@ class DesignDb {
  public:
   /// Container format version. Bump on any incompatible layout change;
   /// loaders reject other versions with DbError::kBadVersion.
-  static constexpr std::uint32_t kFormatVersion = 4;  // v4: metrics carry place engine/overflow/iters
+  static constexpr std::uint32_t kFormatVersion = 5;  // v5: routes drop the region counters
   /// 8-byte magic: identifies the format and (via \r\n\x1a) catches text-
   /// mode and truncation mangling early.
   static const char kMagic[9];

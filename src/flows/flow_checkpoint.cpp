@@ -137,9 +137,7 @@ void hashOptimizerOptions(HashStream& h, const OptimizerOptions& o) {
   h.f64(o.bufferWireDelayThreshold);
   h.str(o.bufferCell == nullptr ? "" : o.bufferCell);
   // resizeGuard is installed by the pipeline itself as a pure function of
-  // state already in the chain — not an independent input. incrementalSta
-  // is excluded like the thread knobs: the persistent engine is
-  // bit-identical to the per-pass rebuild, so it cannot change the artifact.
+  // state already in the chain — not an independent input.
 }
 
 void hashTimingGoal(HashStream& h, const FlowOptions& opt) {
@@ -362,12 +360,8 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.f64(opt.router.presentWeightInit);
     h.f64(opt.router.presentWeightGrowth);
     h.i32(opt.router.batchSize);
-    h.b(opt.router.costCache);
     h.i32(opt.router.searchHaloGcells);
-    h.b(opt.router.bucketQueue);
-    h.i32(opt.router.regionSizeGcells);
     h.b(opt.router.timingDriven);
-    h.f64(opt.router.criticalityExponent);
     // The refresh cadence changes the negotiation ordering; the callback
     // itself is flow-installed from inputs already in the chain.
     h.i32(opt.router.critRefreshEvery);

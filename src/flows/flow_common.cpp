@@ -37,7 +37,7 @@ std::string sanitizeForFilename(const std::string& s) {
   return out;
 }
 
-/// M3D_ROUTE_* environment overrides for the region/timing router knobs,
+/// Integer environment knobs (M3D_ROUTE_TIMING_DRIVEN, M3D_CACHE_MAX_BYTES),
 /// with the same malformed-env hardening convention as M3D_THREADS
 /// (core/parallel.cpp): a value that fails to parse warns via the logger
 /// and leaves the option at its built-in default. Env values only apply
@@ -57,37 +57,14 @@ bool envLong(const char* name, long minVal, long* out) {
   return true;
 }
 
-bool envDouble(const char* name, double minExclusive, double* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* endp = nullptr;
-  const double parsed = std::strtod(v, &endp);
-  if (endp == v || *endp != '\0' || !(parsed > minExclusive)) {
-    M3D_LOG(warn) << "ignoring invalid " << name << "='" << v << "' (expected a number > "
-                  << minExclusive << "); keeping the default";
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Applies the M3D_ROUTE_REGION_SIZE / M3D_ROUTE_TIMING_DRIVEN /
-/// M3D_ROUTE_CRIT_EXP overrides to \p ropt. Runs before the stage keys are
-/// computed so a cache key always hashes the *effective* knobs.
+/// Applies the M3D_ROUTE_TIMING_DRIVEN override to \p ropt. Runs before the
+/// stage keys are computed so a cache key always hashes the *effective*
+/// knob.
 void applyRouterEnvOverrides(RouterOptions& ropt) {
-  const RouterOptions defaults;
   long l = 0;
-  double d = 0.0;
-  if (ropt.regionSizeGcells == defaults.regionSizeGcells &&
-      envLong("M3D_ROUTE_REGION_SIZE", 0, &l)) {
-    ropt.regionSizeGcells = static_cast<int>(l);
-  }
-  if (ropt.timingDriven == defaults.timingDriven && envLong("M3D_ROUTE_TIMING_DRIVEN", 0, &l)) {
+  if (ropt.timingDriven == RouterOptions{}.timingDriven &&
+      envLong("M3D_ROUTE_TIMING_DRIVEN", 0, &l)) {
     ropt.timingDriven = l != 0;
-  }
-  if (ropt.criticalityExponent == defaults.criticalityExponent &&
-      envDouble("M3D_ROUTE_CRIT_EXP", 0.0, &d)) {
-    ropt.criticalityExponent = d;
   }
 }
 

@@ -138,6 +138,12 @@ double JsonValue::numberOr(std::string_view k, double fallback) const {
 
 namespace {
 
+/// Deepest array/object nesting parseJson accepts. The parser recurses once
+/// per level, so without a cap a long run of '[' (say, one hostile request
+/// line to m3d_serve) overflows the stack. Every document this repository
+/// writes nests a handful of levels deep.
+constexpr int kMaxJsonDepth = 512;
+
 class Parser {
  public:
   Parser(std::string_view text, std::string* err) : s_(text), err_(err) {}
@@ -182,8 +188,16 @@ class Parser {
       return false;
     }
     const char c = s_[pos_];
-    if (c == '{') return parseObject(out);
-    if (c == '[') return parseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ >= kMaxJsonDepth) {
+        fail("nesting too deep");
+        return false;
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.type = JsonValue::Type::kString;
       return parseString(out.str);
@@ -357,6 +371,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string* err_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <optional>
 #include <set>
 
 #include "obs/log.hpp"
@@ -88,16 +87,8 @@ int presizeForLoad(Netlist& nl, std::vector<NetParasitics>& paras,
   return resized;
 }
 
-namespace {
-
-/// Shared pass loop. With \p engine set, netlist edits are mirrored into the
-/// persistent incremental Sta; with engine == nullptr a fresh Sta is built at
-/// every probe point (the legacy shape, kept for A/B benchmarking). Both
-/// paths run the same queries on the same netlist/parasitics state, so their
-/// results are bit-identical.
-OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParasitics>& paras,
-                                  ParasiticsProvider& provider, const ClockModel* clock,
-                                  const OptimizerOptions& opt) {
+OptimizeResult optimizeTiming(Sta& sta, Netlist& nl, std::vector<NetParasitics>& paras,
+                              ParasiticsProvider& provider, const OptimizerOptions& opt) {
   OptimizeResult result;
   if (opt.maxPasses <= 0) return result;  // nothing to do: skip the initial probe
   const Library& lib = nl.library();
@@ -106,14 +97,7 @@ OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParas
   const int bufA = *lib.cell(bufId).findPin("A");
   const int bufY = *lib.cell(bufId).findPin("Y");
 
-  std::optional<Sta> local;
-  const auto freshSta = [&]() -> Sta& {
-    if (engine) return *engine;
-    local.emplace(nl, paras, clock, kTypicalCorner, opt.numThreads);
-    return *local;
-  };
-
-  double wns = freshSta().worstSlack(opt.targetPeriod);
+  double wns = sta.worstSlack(opt.targetPeriod);
   result.initialWns = wns;
 
   int bufCounter = 0;
@@ -122,7 +106,7 @@ OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParas
     result.passes = pass + 1;
     if (wns >= 0.0) break;
 
-    const TimingReport rep = freshSta().analyze(opt.targetPeriod);
+    const TimingReport rep = sta.analyze(opt.targetPeriod);
     if (rep.criticalPath.size() < 2) break;
 
     // Snapshot for revert.
@@ -145,7 +129,7 @@ OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParas
       if (opt.resizeGuard && !opt.resizeGuard(inst, up)) continue;
       resizes.push_back({inst, nl.instance(inst).type});
       nl.resize(inst, up);
-      if (engine) engine->applyResize(inst);
+      sta.applyResize(inst);
       ++result.cellsResized;
       for (NetId n : inputNetsOf(nl, inst)) dirty.push_back(n);
     }
@@ -204,7 +188,7 @@ OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParas
         }
         nl.connect(netId, buf, bufA);
         nl.connect(newNet, buf, bufY);
-        if (engine) engine->applyBufferInsertion(buf, netId, newNet);
+        sta.applyBufferInsertion(buf, netId, newNet);
         ++buffersThisPass;
         ++result.buffersInserted;
         dirty.push_back(netId);
@@ -218,17 +202,17 @@ OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParas
     std::sort(dirty.begin(), dirty.end());
     dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
     provider.refresh(nl, dirty, paras);
-    if (engine) engine->invalidateNets(dirty);
+    sta.invalidateNets(dirty);
 
-    const double newWns = freshSta().worstSlack(opt.targetPeriod);
+    const double newWns = sta.worstSlack(opt.targetPeriod);
     if (newWns <= wns + 1e-15 && buffersThisPass == 0) {
       // Sizing made things worse (upstream loading): revert and stop.
       for (const Resize& r : resizes) {
         nl.resize(r.inst, r.oldType);
-        if (engine) engine->applyResize(r.inst);
+        sta.applyResize(r.inst);
       }
       provider.refresh(nl, dirty, paras);
-      if (engine) engine->invalidateNets(dirty);
+      sta.invalidateNets(dirty);
       break;
     }
     passPhase.attr("wns_ps", newWns * 1e12);
@@ -247,22 +231,12 @@ OptimizeResult optimizeTimingImpl(Sta* engine, Netlist& nl, std::vector<NetParas
   return result;
 }
 
-}  // namespace
-
 OptimizeResult optimizeTiming(Netlist& nl, std::vector<NetParasitics>& paras,
                               ParasiticsProvider& provider, const ClockModel* clock,
                               const OptimizerOptions& opt) {
-  if (opt.incrementalSta && opt.maxPasses > 0) {
-    Sta sta(nl, paras, clock, kTypicalCorner, opt.numThreads);
-    return optimizeTimingImpl(&sta, nl, paras, provider, clock, opt);
-  }
-  return optimizeTimingImpl(nullptr, nl, paras, provider, clock, opt);
-}
-
-OptimizeResult optimizeTiming(Sta& sta, Netlist& nl, std::vector<NetParasitics>& paras,
-                              ParasiticsProvider& provider, const ClockModel* clock,
-                              const OptimizerOptions& opt) {
-  return optimizeTimingImpl(&sta, nl, paras, provider, clock, opt);
+  if (opt.maxPasses <= 0) return {};  // nothing to do: skip building the engine
+  Sta sta(nl, paras, clock, kTypicalCorner, opt.numThreads);
+  return optimizeTiming(sta, nl, paras, provider, opt);
 }
 
 MaxFreqOptResult optimizeForMaxFrequency(Netlist& nl, std::vector<NetParasitics>& paras,
@@ -272,13 +246,8 @@ MaxFreqOptResult optimizeForMaxFrequency(Netlist& nl, std::vector<NetParasitics>
   // One engine for the whole schedule: every round's passes feed it the
   // dirty net list, so the per-round min-period probes ride the arrival
   // cache instead of rebuilding the graph.
-  std::optional<Sta> persistent;
-  if (base.incrementalSta) persistent.emplace(nl, paras, clock, kTypicalCorner, base.numThreads);
-  const auto minPeriodNow = [&]() {
-    if (persistent) return persistent->findMinPeriod();
-    return Sta(nl, paras, clock, kTypicalCorner, base.numThreads).findMinPeriod();
-  };
-  double best = minPeriodNow();
+  Sta sta(nl, paras, clock, kTypicalCorner, base.numThreads);
+  double best = sta.findMinPeriod();
   if (!std::isfinite(best)) {
     M3D_LOG(warn) << "maxfreq: design has no feasible period; skipping optimization";
     out.minPeriod = best;
@@ -288,14 +257,12 @@ MaxFreqOptResult optimizeForMaxFrequency(Netlist& nl, std::vector<NetParasitics>
     obs::ScopedPhase round("opt.round");
     out.rounds = r + 1;
     base.targetPeriod = best * tighten;
-    const OptimizeResult res = persistent
-                                   ? optimizeTimingImpl(&*persistent, nl, paras, provider, clock, base)
-                                   : optimizeTimingImpl(nullptr, nl, paras, provider, clock, base);
+    const OptimizeResult res = optimizeTiming(sta, nl, paras, provider, base);
     out.cellsResized += res.cellsResized;
     out.buffersInserted += res.buffersInserted;
     out.insertedBuffers.insert(out.insertedBuffers.end(), res.insertedBuffers.begin(),
                                res.insertedBuffers.end());
-    const double now = minPeriodNow();
+    const double now = sta.findMinPeriod();
     round.attr("min_period_ns", now * 1e9);
     round.attr("resized", static_cast<double>(res.cellsResized));
     obs::series("opt.min_period_ns").record(now * 1e9);

@@ -70,12 +70,6 @@ struct OptimizerOptions {
   /// Wire delay beyond which a critical net stage gets a buffer [s].
   double bufferWireDelayThreshold = 40e-12;
   const char* bufferCell = "BUF_X8";
-  /// Keep one incremental Sta alive across passes/rounds (cone-limited
-  /// arrival updates fed by the dirty net list) instead of rebuilding the
-  /// timing graph from scratch per pass. Results are bit-identical either
-  /// way (see DESIGN.md Sec. 5j), so the flag is excluded from checkpoint
-  /// stage keys; it exists to A/B the rebuild cost (bench_sta).
-  bool incrementalSta = true;
   /// Optional veto on in-place resizes: called with the instance and the
   /// candidate master before committing; returning false skips that resize.
   /// Post-route flows install a frozen-placement footprint guard here --
@@ -94,18 +88,20 @@ struct OptimizeResult {
 };
 
 /// Optimizes \p nl against \p paras (updated in place through \p provider).
-/// The clock model (may be null) is honored for launch/capture times.
+/// The clock model (may be null) is honored for launch/capture times. Builds
+/// one incremental Sta for the call (none when opt.maxPasses is 0).
 OptimizeResult optimizeTiming(Netlist& nl, std::vector<NetParasitics>& paras,
                               ParasiticsProvider& provider, const ClockModel* clock,
                               const OptimizerOptions& opt);
 
 /// Same optimization driven through a caller-owned persistent \p sta (which
-/// must have been built over this \p nl / \p paras pair). Netlist edits are
-/// mirrored into the engine via its incremental API, so repeated calls
-/// (e.g. the max-frequency rounds) never rebuild the timing graph.
+/// must have been built over this \p nl / \p paras pair, with the clock
+/// model to honor). Netlist edits are mirrored into the engine via its
+/// incremental API, so repeated calls (e.g. the max-frequency rounds) never
+/// rebuild the timing graph, and afterwards the engine matches a
+/// from-scratch Sta on the edited netlist.
 OptimizeResult optimizeTiming(Sta& sta, Netlist& nl, std::vector<NetParasitics>& paras,
-                              ParasiticsProvider& provider, const ClockModel* clock,
-                              const OptimizerOptions& opt);
+                              ParasiticsProvider& provider, const OptimizerOptions& opt);
 
 /// Global load-based presizing (synthesis-style): upsizes every cell whose
 /// output stage delay (driveRes * load) exceeds \p maxStageDelay until it

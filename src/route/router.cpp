@@ -5,13 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <queue>
 
 #include "core/parallel.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "route/region_partition.hpp"
 
 namespace m3d {
 
@@ -72,15 +70,6 @@ inline int xylX(std::uint32_t p) { return static_cast<int>(p >> 20); }
 inline int xylY(std::uint32_t p) { return static_cast<int>((p >> 8) & 0xfffu); }
 inline int xylL(std::uint32_t p) { return static_cast<int>(p & 0xffu); }
 
-/// Monotone bucket queue: open-list entries keyed on floor(f / quantum).
-/// Pops ascend bucket index (A* f-costs are non-decreasing under the
-/// consistent heuristic, so a popped entry never belongs before the
-/// cursor); within a bucket, pending entries are sorted by exact
-/// (f, node, g) when the cursor reaches them, so the pop order matches the
-/// binary heap's (f, node-id) order except for entries appended to the
-/// already-drained part of the current bucket -- those pop at most one
-/// quantum late. Storage persists across searches (reset() clears only
-/// touched buckets).
 /// Per-node search state, packed into one 16-byte record so a relaxation
 /// touches a single cache line instead of three parallel arrays.
 struct NodeState {
@@ -89,6 +78,14 @@ struct NodeState {
   std::int32_t visit;
 };
 
+/// Monotone bucket queue: open-list entries keyed on floor(f / quantum).
+/// Pops ascend bucket index (A* f-costs are non-decreasing under the
+/// consistent heuristic, so a popped entry never belongs before the
+/// cursor); within a bucket, pending entries are sorted by exact
+/// (f, node) when the cursor reaches them, so the pop order is exact
+/// (f, node-id) order except for entries appended to the already-drained
+/// part of the current bucket -- those pop at most one quantum late.
+/// Storage persists across searches (reset() clears only touched buckets).
 struct BucketQueue {
   std::vector<std::vector<OpenEntry>> buckets;
   std::vector<int> head;      ///< per bucket: next entry to pop.
@@ -160,38 +157,6 @@ struct BucketQueue {
   }
 };
 
-/// Per-slot usage overlay for region-parallel negotiation. While a region's
-/// nets route sequentially on one pool slot, their uncommitted usage
-/// accumulates here so later nets of the same region negotiate against it;
-/// the shared arrays stay frozen until the ordered cross-region commit.
-/// Dense u16 arrays mirror the grid's edge spaces (O(1) lookup in the
-/// search hot path); touched-lists make clearing O(edges actually used).
-struct RegionDelta {
-  std::vector<std::uint16_t> wire;
-  std::vector<std::uint16_t> via;
-  std::vector<int> touchedWire;
-  std::vector<int> touchedVia;
-
-  void ensure(std::size_t numWire, std::size_t numVia) {
-    if (wire.size() != numWire) wire.assign(numWire, 0);
-    if (via.size() != numVia) via.assign(numVia, 0);
-  }
-
-  void clear() {
-    for (const int e : touchedWire) wire[static_cast<std::size_t>(e)] = 0;
-    for (const int v : touchedVia) via[static_cast<std::size_t>(v)] = 0;
-    touchedWire.clear();
-    touchedVia.clear();
-  }
-
-  void addWire(int e) {
-    if (wire[static_cast<std::size_t>(e)]++ == 0) touchedWire.push_back(e);
-  }
-  void addVia(int v) {
-    if (via[static_cast<std::size_t>(v)]++ == 0) touchedVia.push_back(v);
-  }
-};
-
 /// Inclusive gcell bounds of one windowed search.
 struct Window {
   int x0 = 0;
@@ -224,43 +189,6 @@ struct SearchScratch {
     epoch = 0;
     treeEpoch = 0;
   }
-};
-
-struct HeapGreater {
-  bool operator()(const OpenEntry& a, const OpenEntry& b) const {
-    if (a.f != b.f) return a.f > b.f;
-    return a.node > b.node;
-  }
-};
-
-/// Open list used by one search: the monotone bucket queue or, for the
-/// ablation/fallback configuration, the classic binary heap.
-class OpenList {
- public:
-  OpenList(bool useBuckets, BucketQueue& bq) : buckets_(useBuckets), bq_(&bq) {
-    if (buckets_) bq_->reset();
-  }
-
-  void push(const OpenEntry& e) {
-    if (buckets_) {
-      bq_->push(e);
-    } else {
-      heap_.push(e);
-    }
-  }
-
-  bool pop(OpenEntry& out, const NodeState* state, int epoch) {
-    if (buckets_) return bq_->pop(out, state, epoch);
-    if (heap_.empty()) return false;
-    out = heap_.top();
-    heap_.pop();
-    return true;
-  }
-
- private:
-  bool buckets_;
-  BucketQueue* bq_;
-  std::priority_queue<OpenEntry, std::vector<OpenEntry>, HeapGreater> heap_;
 };
 
 /// Negotiated-congestion router with deterministic batch parallelism.
@@ -311,10 +239,6 @@ class Router {
     layerHoriz_.resize(static_cast<std::size_t>(grid_.numLayers()));
     for (int l = 0; l < grid_.numLayers(); ++l) {
       layerHoriz_[static_cast<std::size_t>(l)] = grid_.layerHorizontal(l) ? 1 : 0;
-    }
-    if (opt_.regionSizeGcells > 0) {
-      part_ = RegionPartition::make(grid_.nx(), grid_.ny(), opt_.regionSizeGcells);
-      deltas_.resize(static_cast<std::size_t>(par::maxSlots()));
     }
     // Criticality factors start from the pre-route STA and stay fixed
     // unless opt_.criticalityRefresh re-derives them between rip-up rounds;
@@ -508,14 +432,12 @@ class Router {
   }
 
   /// (Re)derives the flat criticality-factor table from per-net
-  /// criticalities: factor = min(clamp(c, 0, 1)^exponent, kMaxCritFactor).
+  /// criticalities: factor = min(clamp(c, 0, 1), kMaxCritFactor).
   void setCriticality(const std::vector<double>& crit) {
     critFactor_.assign(static_cast<std::size_t>(nl_.numNets()), 0.0);
-    const double exp = std::max(opt_.criticalityExponent, 1e-6);
     const std::size_t n = std::min(critFactor_.size(), crit.size());
     for (std::size_t i = 0; i < n; ++i) {
-      const double c = std::clamp(crit[i], 0.0, 1.0);
-      critFactor_[i] = std::min(std::pow(c, exp), kMaxCritFactor);
+      critFactor_[i] = std::min(std::clamp(crit[i], 0.0, 1.0), kMaxCritFactor);
     }
   }
 
@@ -534,8 +456,8 @@ class Router {
       // Usage and history are frozen except at batch commits below, and
       // presWeight_ only changes between iterations: rebuild the flat cost
       // caches here, patch per committed edge after each commit.
-      if (opt_.costCache) rebuildCostCaches();
-      const int batches = routePass(toRoute, result);
+      rebuildCostCaches();
+      const int batches = routeBatches(toRoute, result);
       // Collect overflow, build history, decide rip-up set. In ECO mode
       // the reused routes are FROZEN: only nets already in the dirty
       // cohort (everRipped_) may rip up again. Without this, any reused
@@ -606,111 +528,6 @@ class Router {
       presWeight_ *= opt_.presentWeightGrowth;
     }
   }
-  /// One routing pass over \p toRoute: the region-parallel path when
-  /// partitioning is enabled (region-local nets first, then the
-  /// boundary-crossing remainder through the classic batches), plain
-  /// batches otherwise. Returns the number of parallel work units for the
-  /// iteration telemetry.
-  int routePass(const std::vector<NetId>& toRoute, RoutingResult& result) {
-    if (opt_.regionSizeGcells <= 0) return routeBatches(toRoute, result);
-
-    // Bucket by region: a pure function of the pin gcells and the
-    // partition. Bucket order preserves the (sorted) toRoute order.
-    std::vector<std::vector<NetId>> byRegion(static_cast<std::size_t>(part_.numRegions()));
-    std::vector<NetId> cross;
-    for (const NetId n : toRoute) {
-      const int r = regionOfNet(n);
-      if (r < 0) {
-        cross.push_back(n);
-      } else {
-        byRegion[static_cast<std::size_t>(r)].push_back(n);
-      }
-    }
-    std::vector<int> active;
-    for (int r = 0; r < part_.numRegions(); ++r) {
-      if (!byRegion[static_cast<std::size_t>(r)].empty()) active.push_back(r);
-    }
-    // Region pass: each active region routes its nets *sequentially*
-    // against the frozen shared state plus its own uncommitted overlay
-    // (intra-region negotiation); regions are independent, so they run
-    // concurrently. The overlay makes the result a pure function of the
-    // bucket contents -- never of which slot or thread ran the region.
-    par::parallelFor(
-        0, static_cast<std::int64_t>(active.size()), 1,
-        [&](std::int64_t k) {
-          const int r = active[static_cast<std::size_t>(k)];
-          SearchScratch& s = scratchForSlot();
-          RegionDelta& d = deltaForSlot();
-          d.clear();
-          for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
-            NetRoute& out = result.nets[static_cast<std::size_t>(n)];
-            routeNet(n, out, s, &d);
-            for (const RouteSeg& seg : out.segs) {
-              if (seg.isVia) {
-                d.addVia(viaEdgeOf(seg));
-              } else {
-                d.addWire(wireEdgeOf(seg.fromNode, seg.toNode));
-              }
-            }
-          }
-        },
-        threads_);
-    // Ordered commit: ascending region id, nets in bucket order -- fixed
-    // before any search ran.
-    std::int64_t local = 0;
-    for (const int r : active) {
-      for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
-        const NetRoute& nr = result.nets[static_cast<std::size_t>(n)];
-        for (const RouteSeg& s : nr.segs) addUsage(s, +1);
-        ++local;
-      }
-    }
-    if (opt_.costCache) {
-      for (const int r : active) {
-        for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
-          const NetRoute& nr = result.nets[static_cast<std::size_t>(n)];
-          for (const RouteSeg& s : nr.segs) refreshCostCache(s);
-        }
-      }
-    }
-    regionLocalNets_ += local;
-    regionCrossNets_ += static_cast<std::int64_t>(cross.size());
-    obs::series("route.region_iter_nets").record(static_cast<double>(local));
-    // Cross-region nets negotiate through the classic batch path against
-    // the state the regions just committed.
-    return static_cast<int>(active.size()) + routeBatches(cross, result);
-  }
-
-  /// Region owning a net, or -1 when its pin bounding box crosses regions.
-  /// A pure function of the pin gcells and the partition (the *routed*
-  /// path may still stray outside the region via the window fallback
-  /// ladder; the overlay covers the whole grid, so accounting stays exact
-  /// and any inter-region conflict is negotiated away next iteration, the
-  /// same way batch-parallel conflicts always have been).
-  int regionOfNet(NetId netId) const {
-    const Net& net = nl_.net(netId);
-    int x0 = grid_.nx();
-    int y0 = grid_.ny();
-    int x1 = -1;
-    int y1 = -1;
-    for (const NetPin& pin : net.pins) {
-      const int node = grid_.pinNode(nl_, pin);
-      const int x = grid_.nodeX(node);
-      const int y = grid_.nodeY(node);
-      x0 = std::min(x0, x);
-      y0 = std::min(y0, y);
-      x1 = std::max(x1, x);
-      y1 = std::max(y1, y);
-    }
-    return part_.regionOfBox(x0, y0, x1, y1);
-  }
-
-  RegionDelta& deltaForSlot() {
-    auto& p = deltas_[static_cast<std::size_t>(par::currentSlot())];
-    if (!p) p = std::make_unique<RegionDelta>();
-    p->ensure(wireUse_.size(), viaUse_.size());
-    return *p;
-  }
 
   /// Routes \p toRoute in fixed-size batches: parallel read-only search,
   /// then an ordered sequential commit. Returns the batch count.
@@ -724,7 +541,7 @@ class Router {
           static_cast<std::int64_t>(b0), static_cast<std::int64_t>(b1), 1,
           [&](std::int64_t k) {
             const NetId n = toRoute[static_cast<std::size_t>(k)];
-            routeNet(n, result.nets[static_cast<std::size_t>(n)], scratchForSlot(), nullptr);
+            routeNet(n, result.nets[static_cast<std::size_t>(n)], scratchForSlot());
           },
           threads_);
       // Commit phase: fixed (route-order, i.e. HPWL-then-NetId) order.
@@ -735,11 +552,9 @@ class Router {
       }
       // Patch only the cache entries whose usage just changed; everything
       // else is still frozen until the next commit.
-      if (opt_.costCache) {
-        for (std::size_t k = b0; k < b1; ++k) {
-          const NetRoute& r = result.nets[static_cast<std::size_t>(toRoute[k])];
-          for (const RouteSeg& s : r.segs) refreshCostCache(s);
-        }
+      for (std::size_t k = b0; k < b1; ++k) {
+        const NetRoute& r = result.nets[static_cast<std::size_t>(toRoute[k])];
+        for (const RouteSeg& s : r.segs) refreshCostCache(s);
       }
       ++batches;
     }
@@ -782,27 +597,6 @@ class Router {
     return base * (1.0 + static_cast<double>(viaHist_[static_cast<std::size_t>(v)])) * pres;
   }
 
-  /// Wire cost with \p extra uncommitted uses from the region overlay
-  /// stacked on the frozen shared usage. Mirrors wireCost exactly at
-  /// extra == 0 (never called then: delta lookups guard on a nonzero
-  /// overlay entry, preserving bit-identity with the cached path).
-  double wireCostExtra(int e, int extra) const {
-    const int cap = grid_.wireCap(e);
-    if (cap == 0) return kInf;
-    const int use = static_cast<int>(wireUse_[static_cast<std::size_t>(e)]) + extra;
-    const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
-    return (1.0 + static_cast<double>(wireHist_[static_cast<std::size_t>(e)])) * pres;
-  }
-
-  double viaCostExtra(int v, int cut, int extra) const {
-    const int cap = grid_.viaCap(v);
-    if (cap == 0) return kInf;
-    const int use = static_cast<int>(viaUse_[static_cast<std::size_t>(v)]) + extra;
-    const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
-    return viaBase_[static_cast<std::size_t>(cut)] *
-           (1.0 + static_cast<double>(viaHist_[static_cast<std::size_t>(v)])) * pres;
-  }
-
   /// Rebuilds the flat per-edge cost arrays from the current usage/history/
   /// presWeight state. Each slot is an independent pure function of that
   /// state, so the parallel fill is trivially deterministic.
@@ -836,14 +630,6 @@ class Router {
       const int e = wireEdgeOf(s.fromNode, s.toNode);
       wireCostCache_[static_cast<std::size_t>(e)] = wireCost(e);
     }
-  }
-
-  double cachedWireCost(int e) const {
-    return opt_.costCache ? wireCostCache_[static_cast<std::size_t>(e)] : wireCost(e);
-  }
-
-  double cachedViaCost(int v, int cut) const {
-    return opt_.costCache ? viaCostCache_[static_cast<std::size_t>(v)] : viaCost(v, cut);
   }
 
   bool edgeOverflowed(const RouteSeg& s) const {
@@ -908,8 +694,7 @@ class Router {
   /// Multi-source A* from the current tree to \p target, restricted to the
   /// gcell window \p win (which always contains the tree and the target).
   /// Returns true and fills \p path (target..treeNode) on success. Reads
-  /// only the shared congestion state (const during a batch), the optional
-  /// region usage overlay \p delta, and \p s. \p cf is the net's
+  /// only the batch-frozen cost caches and \p s. \p cf is the net's
   /// criticality factor in [0, kMaxCritFactor]: costs blend toward their
   /// congestion-free base as cf rises (base + (1-cf) * (cost - base)),
   /// which keeps every scaled cost >= base, so the unscaled heuristic
@@ -917,10 +702,10 @@ class Router {
   /// bit-identical to a non-timing-driven search (the blend expression is
   /// not an FP identity at cf == 0).
   bool search(const std::vector<int>& treeNodes, int target, const Window& win,
-              std::vector<int>& path, SearchScratch& s, const RegionDelta* delta,
-              double cf) const {
+              std::vector<int>& path, SearchScratch& s, double cf) const {
     ++s.epoch;
-    OpenList open(opt_.bucketQueue, s.open);
+    BucketQueue& open = s.open;
+    open.reset();
     const int tx = grid_.nodeX(target);
     const int ty = grid_.nodeY(target);
     const int tl = grid_.nodeLayer(target);
@@ -936,28 +721,16 @@ class Router {
       hLayer[l] = static_cast<double>(std::abs(l - tl)) * minViaBase_;
     }
 
-    // Edge-cost views for this search: the frozen cache, overridden by the
-    // region overlay where it has uncommitted usage, then blended toward
-    // the base cost for critical nets. Both extra branches are off (and
-    // cost nothing but a predictable test) on the classic batch path.
+    // Edge-cost views for this search: the frozen cache, blended toward the
+    // base cost for critical nets (a predictable untaken branch otherwise).
     const double keep = 1.0 - cf;
     auto wCost = [&](int e) {
-      double c;
-      if (delta != nullptr && delta->wire[static_cast<std::size_t>(e)] != 0) {
-        c = wireCostExtra(e, static_cast<int>(delta->wire[static_cast<std::size_t>(e)]));
-      } else {
-        c = cachedWireCost(e);
-      }
+      double c = wireCostCache_[static_cast<std::size_t>(e)];
       if (cf > 0.0) c = 1.0 + keep * (c - 1.0);
       return c;
     };
     auto vCost = [&](int v, int cut) {
-      double c;
-      if (delta != nullptr && delta->via[static_cast<std::size_t>(v)] != 0) {
-        c = viaCostExtra(v, cut, static_cast<int>(delta->via[static_cast<std::size_t>(v)]));
-      } else {
-        c = cachedViaCost(v, cut);
-      }
+      double c = viaCostCache_[static_cast<std::size_t>(v)];
       if (cf > 0.0) {
         const double b = viaBase_[static_cast<std::size_t>(cut)];
         c = b + keep * (c - b);
@@ -1058,10 +831,8 @@ class Router {
   /// the options -- never of the schedule.
   bool searchWithWindows(const std::vector<int>& treeNodes, int target, int bx0, int by0,
                          int bx1, int by1, std::vector<int>& path, SearchScratch& s,
-                         const RegionDelta* delta, double cf) const {
-    if (opt_.searchHaloGcells < 0) {
-      return search(treeNodes, target, fullWindow(), path, s, delta, cf);
-    }
+                         double cf) const {
+    if (opt_.searchHaloGcells < 0) return search(treeNodes, target, fullWindow(), path, s, cf);
     const int tx = grid_.nodeX(target);
     const int ty = grid_.nodeY(target);
     const int wx0 = std::min(bx0, tx);
@@ -1076,16 +847,15 @@ class Router {
       win.y1 = std::min(grid_.ny() - 1, wy1 + halo);
       const bool coversGrid = win.x0 == 0 && win.y0 == 0 && win.x1 == grid_.nx() - 1 &&
                               win.y1 == grid_.ny() - 1;
-      if (search(treeNodes, target, win, path, s, delta, cf)) return true;
+      if (search(treeNodes, target, win, path, s, cf)) return true;
       if (coversGrid) return false;
       ++s.fallbacks;
     }
   }
 
-  /// Routes one net against the current (batch-frozen) congestion state
-  /// plus the optional region usage overlay \p delta. Writes only \p out
-  /// and \p s; usage commits happen after the batch / region pass.
-  void routeNet(NetId netId, NetRoute& out, SearchScratch& s, const RegionDelta* delta) const {
+  /// Routes one net against the current (batch-frozen) congestion state.
+  /// Writes only \p out and \p s; usage commits happen after the batch.
+  void routeNet(NetId netId, NetRoute& out, SearchScratch& s) const {
     const double cf =
         critFactor_.empty() ? 0.0 : critFactor_[static_cast<std::size_t>(netId)];
     const Net& net = nl_.net(netId);
@@ -1126,7 +896,7 @@ class Router {
     std::vector<int>& path = s.path;
     for (int t : targets) {
       if (s.tree[static_cast<std::size_t>(t)] == s.treeEpoch) continue;  // already reached
-      if (!searchWithWindows(treeNodes, t, bx0, by0, bx1, by1, path, s, delta, cf)) {
+      if (!searchWithWindows(treeNodes, t, bx0, by0, bx1, by1, path, s, cf)) {
         out.routed = false;
         continue;
       }
@@ -1184,11 +954,6 @@ class Router {
       result.nodesRelaxed += p->relaxed;
       result.windowFallbacks += p->fallbacks;
     }
-    if (opt_.regionSizeGcells > 0) {
-      result.regionCount = part_.numRegions();
-      result.regionLocalNets = regionLocalNets_;
-      result.regionCrossNets = regionCrossNets_;
-    }
     if (eco_) {
       result.ecoDirtyGcells = ecoDirtyGcells_;
       for (const NetId n : order_) {
@@ -1244,8 +1009,6 @@ class Router {
   std::vector<double> wireCostCache_;
   std::vector<double> viaCostCache_;
   std::vector<std::unique_ptr<SearchScratch>> scratch_;
-  std::vector<std::unique_ptr<RegionDelta>> deltas_;
-  RegionPartition part_;
   std::vector<NetId> order_;
   std::vector<double> critFactor_;   ///< empty unless timing-driven.
   std::vector<double> viaBase_;      ///< per-cut base via cost.
@@ -1256,8 +1019,6 @@ class Router {
   double minViaBase_ = 1.0;
   std::vector<std::uint8_t> layerHoriz_;
   bool eco_ = false;
-  std::int64_t regionLocalNets_ = 0;
-  std::int64_t regionCrossNets_ = 0;
   std::int64_t ecoDirtyGcells_ = 0;
 };
 
@@ -1270,11 +1031,6 @@ void recordRouteObs(const RoutingResult& result) {
   obs::counter("route.nodes_popped").add(result.nodesPopped);
   obs::counter("route.nodes_relaxed").add(result.nodesRelaxed);
   obs::counter("route.window_fallbacks").add(result.windowFallbacks);
-  if (result.regionCount > 0) {
-    obs::gauge("route.region_count").set(static_cast<double>(result.regionCount));
-    obs::counter("route.region_local_nets").add(result.regionLocalNets);
-    obs::counter("route.region_cross_nets").add(result.regionCrossNets);
-  }
   M3D_LOG(debug) << "router summary: iters=" << result.iterationsUsed
                 << " wl_um=" << result.totalWirelengthUm << " bumps=" << result.f2fBumps
                 << " overflow_edges=" << result.overflowedEdges

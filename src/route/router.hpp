@@ -51,14 +51,6 @@ struct RouterOptions {
   /// algorithm, not the schedule). 1 reproduces fully sequential
   /// negotiation; larger batches expose more parallelism.
   int batchSize = 24;
-  /// Frozen per-batch edge-cost caches. Usage/history are read-only while a
-  /// batch is in flight, so wire/via costs are materialized into flat
-  /// arrays once per rip-up iteration (parallel, deterministic chunking)
-  /// and patched per committed edge after each batch; search() then reads
-  /// one cached double per relaxation instead of recomputing the branchy
-  /// cost formula. Pure speedup: cached values equal the recomputed ones
-  /// bit for bit, so routes are unchanged.
-  bool costCache = true;
   /// Windowed A*: restrict each sink search to the bounding box of the
   /// current tree plus the sink, inflated by this many gcells. When a
   /// window search fails the halo doubles deterministically until the
@@ -70,33 +62,15 @@ struct RouterOptions {
   /// the search and keeps negotiation local (measurably lower overflow
   /// than full-grid search on the benchmark tiles).
   int searchHaloGcells = 1;
-  /// Monotone bucket open list keyed on quantized f-cost with a stable
-  /// node-id tiebreak instead of a binary heap: O(1) push/pop, no per-pop
-  /// log factor. Tie order differs from the heap, so individual routes may
-  /// differ at equal cost; both open lists are deterministic at any thread
-  /// count.
-  bool bucketQueue = true;
-  /// Region-parallel negotiation: shard the gcell plane into rectangular
-  /// regions of this nominal edge length (see region_partition.hpp -- a
-  /// pure function of the grid dims and this knob, never the schedule).
-  /// Nets whose pin bounding box fits inside one region route sequentially
-  /// against that region's accumulated usage overlay while regions run
-  /// concurrently; usage commits in ascending region id, then the
-  /// boundary-crossing nets route via the classic batch path against the
-  /// committed state. <= 0 disables partitioning (batch parallelism only).
-  int regionSizeGcells = 0;
   /// Timing-driven ordering and cost shaping. When set and netCriticality
   /// is non-empty, nets route most-critical first and each net's wire/via
   /// costs are blended toward their congestion-free base by its criticality
-  /// factor (VPR-style: critical nets prefer short paths, non-critical nets
-  /// absorb detours). A zero-criticality net routes bit-identically to the
+  /// factor min(crit, 0.99) (VPR-style: critical nets prefer short paths,
+  /// non-critical nets absorb detours; the 0.99 clamp keeps blocked-edge
+  /// costs infinite, since a factor of exactly 1 would multiply infinity by
+  /// zero). A zero-criticality net routes bit-identically to the
   /// non-timing-driven router.
   bool timingDriven = false;
-  /// Criticality sharpening exponent: factor = min(crit^exponent, 0.99).
-  /// > 1 focuses the cost blend on the most critical nets; the 0.99 clamp
-  /// keeps blocked-edge costs infinite (a factor of exactly 1 would
-  /// multiply infinity by zero).
-  double criticalityExponent = 1.0;
   /// Per-net criticality in [0, 1], indexed by NetId (typically
   /// Sta::netCriticality). Empty disables timing-driven behavior even when
   /// timingDriven is set.
@@ -129,11 +103,6 @@ struct RoutingResult {
   std::int64_t nodesPopped = 0;    ///< open-list pops across all searches.
   std::int64_t nodesRelaxed = 0;   ///< accepted relaxations (dist improved).
   std::int64_t windowFallbacks = 0;  ///< window widenings after a failed windowed search.
-
-  // Region-parallel negotiation statistics (0 when partitioning is off).
-  int regionCount = 0;                 ///< regions in the partition.
-  std::int64_t regionLocalNets = 0;    ///< net routings served by a region pass.
-  std::int64_t regionCrossNets = 0;    ///< net routings that crossed regions (batch path).
 
   // Incremental (ECO) reroute statistics (0 for a full route).
   std::int64_t ecoDirtyGcells = 0;   ///< gcell columns with >= 1 capacity-changed edge.

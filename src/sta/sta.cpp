@@ -16,6 +16,8 @@ namespace {
 constexpr double kNoArrival = -1e30;
 /// Pins per parallelFor chunk inside one topological level.
 constexpr std::int64_t kLevelGrain = 64;
+/// Lower clamp of findMinPeriod [s] (50 ps).
+constexpr double kMinPeriodFloor = 50.0 * 1e-12;
 }
 
 Sta::Sta(const Netlist& nl, const std::vector<NetParasitics>& paras, const ClockModel* clock,
@@ -921,9 +923,8 @@ std::vector<double> Sta::portArrivals(double period) const {
   return out;
 }
 
-double Sta::findMinPeriod(double loPs, double hiPs) const {
+double Sta::findMinPeriod() const {
   obs::ScopedPhase phase("sta.find_min_period");
-  (void)hiPs;  // the exact solve needs no bracket; kept for call compatibility
   ensureParam();
 
   // Each endpoint contributes closed-form bounds on T. With s' the derated
@@ -932,7 +933,7 @@ double Sta::findMinPeriod(double loPs, double hiPs) const {
   //                         T/2 + dH <= T - s' + ...    => T >= 2 (dH + s' - lat + unc)
   //   full-cycle out port:  T >= d0,  T >= 2 dH
   //   half-cycle out port:  T >= 2 d0; dH > 0 is infeasible at any period.
-  double t = loPs * 1e-12;
+  double t = kMinPeriodFloor;
   bool infeasible = false;
   for (const int e : endpoints_) {
     const double a0 = arr0_[static_cast<std::size_t>(e)];
@@ -964,8 +965,7 @@ double Sta::findMinPeriod(double loPs, double hiPs) const {
   }
   // The parametric accumulation can differ from the at-period sweep by a few
   // ulps (T/2 is added at the endpoint here, at the launch there), so nudge
-  // until the conventional check agrees — preserving the bisection-era
-  // invariant worstSlack(findMinPeriod()) >= 0.
+  // until the conventional check agrees: worstSlack(findMinPeriod()) >= 0.
   for (int guard = 0; guard < 8; ++guard) {
     const double ws = worstSlack(t);
     if (ws >= 0.0) break;
@@ -974,32 +974,6 @@ double Sta::findMinPeriod(double loPs, double hiPs) const {
   phase.attr("min_period_ns", t * 1e9);
   obs::series("sta.min_period_ns").record(t * 1e9);
   return t;
-}
-
-double Sta::findMinPeriodBisect(double loPs, double hiPs) const {
-  obs::ScopedPhase phase("sta.find_min_period_bisect");
-  double lo = loPs * 1e-12;
-  double hi = hiPs * 1e-12;
-  // Ensure hi is feasible.
-  int guard = 0;
-  while (worstSlack(hi) < 0.0 && guard++ < 8) hi *= 2.0;
-  if (worstSlack(hi) < 0.0) {
-    M3D_LOG(warn) << "sta find_min_period_bisect: upper bound still infeasible after 8 "
-                     "doublings (hi_ns="
-                  << hi * 1e9 << "); returning sentinel";
-    obs::counter("sta.min_period_infeasible").add(1);
-    return kInfeasiblePeriod;
-  }
-  for (int it = 0; it < 40; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (worstSlack(mid) >= 0.0) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  phase.attr("min_period_ns", hi * 1e9);
-  return hi;
 }
 
 }  // namespace m3d

@@ -22,8 +22,7 @@
 /// The maximum achievable clock frequency — the paper's performance metric —
 /// comes from a single parametric arrival sweep (arc delays are
 /// period-independent, so the min feasible period is a closed-form max over
-/// endpoints); findMinPeriodBisect keeps the legacy binary search as a
-/// cross-check.
+/// endpoints).
 
 #include <cstdint>
 #include <limits>
@@ -139,26 +138,18 @@ class Sta {
   /// Full analysis at \p period.
   TimingReport analyze(double period) const;
 
-  /// Returned by findMinPeriod / findMinPeriodBisect when no finite period
-  /// satisfies every constraint (a half-cycle output port reached by a
-  /// half-cycle launch with positive delay: T/2 + d <= T/2 has no
-  /// solution). Checked by the optimizer.
+  /// Returned by findMinPeriod when no finite period satisfies every
+  /// constraint (a half-cycle output port reached by a half-cycle launch
+  /// with positive delay: T/2 + d <= T/2 has no solution). Checked by the
+  /// optimizer.
   static constexpr double kInfeasiblePeriod = std::numeric_limits<double>::infinity();
 
-  /// Smallest feasible period [s], clamped to >= loPs picoseconds, from a
-  /// single parametric arrival sweep: arc delays are period-independent, so
-  /// each endpoint yields a closed-form bound on T (full-cycle launches
-  /// bound T directly, half-cycle launches bound T/2). Returns
-  /// kInfeasiblePeriod (and records sta.min_period_infeasible) when
-  /// unsatisfiable. \p hiPs is accepted for signature compatibility with
-  /// the bisection cross-check; the exact solve does not need a bracket.
-  double findMinPeriod(double loPs = 50.0, double hiPs = 100000.0) const;
-
-  /// Legacy bisection on worstSlack within [loPs, hiPs] picoseconds; kept
-  /// as a cross-check for findMinPeriod. Returns kInfeasiblePeriod (with a
-  /// warning and the sta.min_period_infeasible counter) when the bracket's
-  /// upper bound is still infeasible after 8 doublings.
-  double findMinPeriodBisect(double loPs = 50.0, double hiPs = 100000.0) const;
+  /// Smallest feasible period [s], clamped to >= 50 ps, from a single
+  /// parametric arrival sweep: arc delays are period-independent, so each
+  /// endpoint yields a closed-form bound on T (full-cycle launches bound T
+  /// directly, half-cycle launches bound T/2). Returns kInfeasiblePeriod
+  /// (and records sta.min_period_infeasible) when unsatisfiable.
+  double findMinPeriod() const;
 
   /// Maximum frequency [Hz] = 1 / findMinPeriod() (0 when infeasible).
   double maxFrequency() const { return 1.0 / findMinPeriod(); }

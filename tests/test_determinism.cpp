@@ -218,11 +218,8 @@ void expectRoutesEqual(const RoutingResult& a, const RoutingResult& b, int threa
   EXPECT_EQ(a.nodesPopped, b.nodesPopped);
   EXPECT_EQ(a.nodesRelaxed, b.nodesRelaxed);
   EXPECT_EQ(a.windowFallbacks, b.windowFallbacks);
-  // Region-parallel and ECO statistics are derived from the same
-  // deterministic decomposition, so they are part of the contract too.
-  EXPECT_EQ(a.regionCount, b.regionCount);
-  EXPECT_EQ(a.regionLocalNets, b.regionLocalNets);
-  EXPECT_EQ(a.regionCrossNets, b.regionCrossNets);
+  // ECO statistics are derived from the same deterministic negotiation,
+  // so they are part of the contract too.
   EXPECT_EQ(a.ecoDirtyGcells, b.ecoDirtyGcells);
   EXPECT_EQ(a.ecoNetsReused, b.ecoNetsReused);
   EXPECT_EQ(a.ecoNetsRipped, b.ecoNetsRipped);
@@ -238,26 +235,20 @@ TEST(RouterDeterminism, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Every search-kernel configuration -- the overhauled default (frozen cost
-// caches + windowed A* + bucket open list), the pre-overhaul ablation
-// (recompute + full grid + binary heap), a mixed setup with a tight window,
-// the region-partitioned scheduler, and timing-driven ordering/costing --
-// must be bit-identical at any thread count.
+// Every search-kernel configuration -- the shipped default (windowed A*),
+// full-grid search, a degenerate zero halo exercising the fallback ladder,
+// and timing-driven ordering/costing -- must be bit-identical at any
+// thread count.
 TEST(RouterDeterminism, KernelConfigsBitIdenticalAcrossThreadCounts) {
   struct Kernel {
-    bool costCache;
     int halo;
-    bool bucketQueue;
-    int regionSize;
     bool timingDriven;
   };
   const Kernel kernels[] = {
-      {true, 1, true, 0, false},     // shipped default
-      {false, -1, false, 0, false},  // pre-overhaul: recompute, full grid, heap
-      {true, 0, true, 0, false},     // degenerate halo exercising the ladder
-      {true, 1, true, 8, false},     // region-partitioned negotiation
-      {true, 1, true, 0, true},      // timing-driven order + cost blend
-      {true, 1, true, 8, true},      // partitioned + timing-driven combined
+      {1, false},   // shipped default
+      {-1, false},  // full-grid search
+      {0, false},   // degenerate halo exercising the ladder
+      {1, true},    // timing-driven order + cost blend
   };
   RouterProblem problem;
   // Synthetic but deterministic per-net criticality (a function of the net
@@ -272,17 +263,13 @@ TEST(RouterDeterminism, KernelConfigsBitIdenticalAcrossThreadCounts) {
       RouteGrid grid(problem.nl_, problem.die_, problem.tech_.beol);
       RouterOptions ropt;
       ropt.numThreads = threads;
-      ropt.costCache = k.costCache;
       ropt.searchHaloGcells = k.halo;
-      ropt.bucketQueue = k.bucketQueue;
-      ropt.regionSizeGcells = k.regionSize;
       ropt.timingDriven = k.timingDriven;
       if (k.timingDriven) ropt.netCriticality = crit;
       return routeDesign(problem.nl_, grid, ropt);
     };
     const RoutingResult ref = routeWith(1);
     EXPECT_EQ(ref.unroutedNets, 0);
-    if (k.regionSize > 0) EXPECT_GT(ref.regionCount, 1);
     for (const int threads : {2, 8}) {
       const RoutingResult r = routeWith(threads);
       expectRoutesEqual(ref, r, threads);

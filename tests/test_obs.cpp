@@ -272,6 +272,12 @@ TEST(ObsJson, ParseErrors) {
   EXPECT_FALSE(parseJson("true false", &err).has_value());
   EXPECT_FALSE(parseJson("", &err).has_value());
   EXPECT_TRUE(parseJson("[1,2,3]").has_value());
+  // A 2 MB run of '[' must fail cleanly at the nesting cap, not overflow
+  // the stack; nesting up to the cap still parses.
+  std::string deepErr;
+  EXPECT_FALSE(parseJson(std::string(2u << 20, '['), &deepErr).has_value());
+  EXPECT_EQ(deepErr, "nesting too deep at offset 512");
+  EXPECT_TRUE(parseJson(std::string(512, '[') + std::string(512, ']')).has_value());
 }
 
 TEST(ObsRunReport, JsonRoundTrip) {

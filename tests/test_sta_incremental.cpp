@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "db/codec.hpp"
 #include "extract/extraction.hpp"
 #include "floorplan/floorplan.hpp"
 #include "lib/stdcell_factory.hpp"
@@ -171,6 +172,22 @@ class EditDriver {
   std::vector<std::pair<InstId, CellTypeId>> resized_;
 };
 
+/// Bisection oracle for Sta::findMinPeriod over the public worstSlack: 40
+/// halvings of [50 ps, 100 ns], after doubling the upper bound (at most 8
+/// times) until it is feasible. Returns Sta::kInfeasiblePeriod when it
+/// never becomes feasible.
+double minPeriodByBisection(const Sta& sta) {
+  double lo = 50e-12;
+  double hi = 100e-9;
+  for (int guard = 0; guard < 8 && sta.worstSlack(hi) < 0.0; ++guard) hi *= 2.0;
+  if (sta.worstSlack(hi) < 0.0) return Sta::kInfeasiblePeriod;
+  for (int it = 0; it < 40; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (sta.worstSlack(mid) >= 0.0 ? hi : lo) = mid;
+  }
+  return hi;
+}
+
 /// Asserts the persistent engine is bit-identical to a from-scratch Sta on
 /// the current netlist state, across every query surface.
 void expectMatchesScratch(const IncrProblem& p, const Sta& incr, const ClockModel* clock,
@@ -184,7 +201,7 @@ void expectMatchesScratch(const IncrProblem& p, const Sta& incr, const ClockMode
   const double mpI = incr.findMinPeriod();
   const double mpS = scratch.findMinPeriod();
   EXPECT_EQ(mpI, mpS) << where;
-  EXPECT_NEAR(mpI, incr.findMinPeriodBisect(), 1e-12) << where;
+  EXPECT_NEAR(mpI, minPeriodByBisection(incr), 1e-12) << where;
   const std::vector<double> ci = incr.netCriticality(period);
   const std::vector<double> cs = scratch.netCriticality(period);
   ASSERT_EQ(ci.size(), cs.size()) << where;
@@ -355,7 +372,7 @@ TEST(StaIncrMinPeriod, ExactMatchesBisectionOnCloud) {
   IncrProblem p;
   const Sta sta(p.nl_, p.paras_, nullptr, kTypicalCorner, 1);
   const double exact = sta.findMinPeriod();
-  const double bisect = sta.findMinPeriodBisect();
+  const double bisect = minPeriodByBisection(sta);
   ASSERT_TRUE(std::isfinite(exact));
   EXPECT_NEAR(exact, bisect, 1e-12);
   // The exact solve must itself be feasible under the conventional check.
@@ -364,8 +381,9 @@ TEST(StaIncrMinPeriod, ExactMatchesBisectionOnCloud) {
 
 TEST(StaIncrMinPeriod, InfeasibleHalfCyclePathReturnsSentinel) {
   // A half-cycle launch into a half-cycle output port can never make
-  // timing: T/2 + delay <= T/2 has no solution. Both solvers must return
-  // the sentinel instead of a bogus finite period.
+  // timing: T/2 + delay <= T/2 has no solution. The exact solve and the
+  // bisection oracle must both return the sentinel instead of a bogus
+  // finite period.
   TechNode tech = makeTech28(6);
   Library lib = makeStdCellLib(tech);
   Netlist nl(&lib);
@@ -388,28 +406,50 @@ TEST(StaIncrMinPeriod, InfeasibleHalfCyclePathReturnsSentinel) {
   const std::vector<NetParasitics> paras = estimateDesign(nl, EstimationOptions{});
   const Sta sta(nl, paras, nullptr, kTypicalCorner, 1);
   EXPECT_EQ(sta.findMinPeriod(), Sta::kInfeasiblePeriod);
-  EXPECT_EQ(sta.findMinPeriodBisect(), Sta::kInfeasiblePeriod);
+  EXPECT_EQ(minPeriodByBisection(sta), Sta::kInfeasiblePeriod);
 }
 
-TEST(StaIncrOptimizer, PersistentEngineMatchesLegacyPath) {
-  // The optimizer's two paths -- fresh Sta per pass vs one persistent
-  // engine fed the dirty net list -- must produce the same netlist, the
-  // same WNS trajectory, and the same min-period.
-  const auto run = [](bool incremental) {
-    IncrProblem p;
-    EstimatedParasitics provider(EstimationOptions{});
-    OptimizerOptions opt;
-    opt.targetPeriod = 0.9e-9;
-    opt.maxPasses = 8;
-    opt.numThreads = 1;
-    opt.incrementalSta = incremental;
-    const OptimizeResult res = optimizeTiming(p.nl_, p.paras_, provider, nullptr, opt);
-    const Sta sta(p.nl_, p.paras_, nullptr, kTypicalCorner, 1);
-    return std::tuple<int, int, double, double, double, int>{
-        res.cellsResized,  res.buffersInserted,      res.initialWns,
-        res.finalWns,      sta.findMinPeriod(),      p.nl_.numInstances()};
-  };
-  EXPECT_EQ(run(true), run(false));
+TEST(StaIncrOptimizer, CallerEngineMatchesScratchAfterOptimization) {
+  // optimizeTiming(sta, ...) mirrors every resize and buffer insertion into
+  // the caller's engine, so after each call that engine must agree with a
+  // Sta built from scratch on the edited netlist. The calls replay the
+  // max-frequency schedule by hand, which optimizeForMaxFrequency (driving
+  // its own engine) must then reproduce edit for edit.
+  constexpr int kRounds = 2;
+  constexpr double kTighten = 0.93;
+  EstimatedParasitics provider(EstimationOptions{});
+  OptimizerOptions opt;
+  opt.maxPasses = 8;
+  opt.numThreads = 1;
+  IncrProblem p;
+  Sta sta(p.nl_, p.paras_, nullptr, kTypicalCorner, 1);
+  double best = sta.findMinPeriod();
+  int resized = 0;
+  int buffers = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    opt.targetPeriod = best * kTighten;
+    const OptimizeResult res = optimizeTiming(sta, p.nl_, p.paras_, provider, opt);
+    resized += res.cellsResized;
+    buffers += res.buffersInserted;
+    const std::string where = "round " + std::to_string(round);
+    const Sta scratch(p.nl_, p.paras_, nullptr, kTypicalCorner, 1);
+    EXPECT_EQ(res.finalWns, scratch.worstSlack(opt.targetPeriod)) << where;
+    expectMatchesScratch(p, sta, nullptr, opt.targetPeriod, where);
+    const double now = sta.findMinPeriod();
+    // Every round must improve, or optimizeForMaxFrequency would stop early.
+    ASSERT_LT(now, best * 0.999) << where;
+    best = now;
+  }
+  EXPECT_GT(resized + buffers, 0);
+
+  IncrProblem q;
+  const MaxFreqOptResult mf =
+      optimizeForMaxFrequency(q.nl_, q.paras_, provider, nullptr, opt, kRounds, kTighten);
+  EXPECT_EQ(mf.rounds, kRounds);
+  EXPECT_EQ(mf.cellsResized, resized);
+  EXPECT_EQ(mf.buffersInserted, buffers);
+  EXPECT_EQ(mf.minPeriod, best);
+  EXPECT_EQ(db::hashNetlist(q.nl_), db::hashNetlist(p.nl_));
 }
 
 TEST(StaIncrOptimizer, ZeroPassesSkipsTheInitialProbe) {
