@@ -1,7 +1,7 @@
 /// \file bench_route.cpp
 /// Router benchmark: the windowed A* with its deterministic fallback ladder
-/// against full-grid search, thread scaling of the batch router, a
-/// timing-driven row, and the incremental ECO reroute.
+/// against full-grid search, thread scaling of the batch router, and the
+/// incremental ECO reroute.
 ///
 /// Modes:
 ///  - default: runs the Macro-3D flow once on the OpenPiton small-cache
@@ -323,26 +323,6 @@ int runFull() {
   if (!scaleIdentical) {
     std::printf("FAIL: routes not bit-identical across thread counts\n");
     return 1;
-  }
-
-  // --- Timing-driven row: STA-derived criticality reorders the nets and
-  // relaxes wire/via penalties on critical ones. Recorded for QoR
-  // comparison against the timing-neutral default.
-  {
-    RouterOptions ropt;
-    ropt.timingDriven = true;
-    ropt.netCriticality.resize(static_cast<std::size_t>(nl.numNets()));
-    for (std::size_t n = 0; n < ropt.netCriticality.size(); ++n) {
-      ropt.netCriticality[n] = static_cast<double>((n * 37) % 100) / 100.0;
-    }
-    const RunStats td =
-        routeOnce(nl, out.fp.die, out.routingBeol, fopt.grid, kDefaultKernel, ropt, reps);
-    std::printf("timing-driven: wall %.3fs overflow=%lld wl=%.0fum\n", td.wallS,
-                static_cast<long long>(td.routes.totalOverflow),
-                td.routes.totalWirelengthUm);
-    json.scalar("timing.wall_s", td.wallS);
-    json.scalar("timing.total_overflow", static_cast<double>(td.routes.totalOverflow));
-    json.scalar("timing.wirelength_um", td.routes.totalWirelengthUm);
   }
 
   // --- ECO bump-pitch scenario: halve the F2F bond-layer pitch (denser

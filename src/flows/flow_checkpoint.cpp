@@ -361,24 +361,6 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.f64(opt.router.presentWeightGrowth);
     h.i32(opt.router.batchSize);
     h.i32(opt.router.searchHaloGcells);
-    h.b(opt.router.timingDriven);
-    // The refresh cadence changes the negotiation ordering; the callback
-    // itself is flow-installed from inputs already in the chain.
-    h.i32(opt.router.critRefreshEvery);
-    // Caller-supplied criticality is a route input; the flow-computed one
-    // (timingDriven with an empty vector) is a pure function of inputs
-    // already in the chain plus the estimation knobs hashed here.
-    h.i64(static_cast<std::int64_t>(opt.router.netCriticality.size()));
-    for (const double c : opt.router.netCriticality) h.f64(c);
-    if (opt.router.timingDriven) {
-      EstimationOptions eopt =
-          makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-      eopt.lengthScale = flags.estimationLengthScale;
-      h.f64(eopt.rPerUm);
-      h.f64(eopt.cPerUm);
-      h.f64(eopt.parasiticScale);
-      h.f64(eopt.lengthScale);
-    }
     // Incremental ECO seed: the reused routes are a route input, so the
     // seed *content* enters the key (an unreadable path hashes as the path
     // string -- the route stage will warn and fall back to a full route).

@@ -37,9 +37,9 @@ std::string sanitizeForFilename(const std::string& s) {
   return out;
 }
 
-/// Integer environment knobs (M3D_ROUTE_TIMING_DRIVEN, M3D_CACHE_MAX_BYTES),
-/// with the same malformed-env hardening convention as M3D_THREADS
-/// (core/parallel.cpp): a value that fails to parse warns via the logger
+/// Integer environment knob (M3D_CACHE_MAX_BYTES), with the same
+/// malformed-env hardening convention as M3D_THREADS (core/parallel.cpp):
+/// a value that fails to parse warns via the logger
 /// and leaves the option at its built-in default. Env values only apply
 /// while the option still equals its default -- an explicit FlowOptions
 /// setting always wins.
@@ -55,17 +55,6 @@ bool envLong(const char* name, long minVal, long* out) {
   }
   *out = parsed;
   return true;
-}
-
-/// Applies the M3D_ROUTE_TIMING_DRIVEN override to \p ropt. Runs before the
-/// stage keys are computed so a cache key always hashes the *effective*
-/// knob.
-void applyRouterEnvOverrides(RouterOptions& ropt) {
-  long l = 0;
-  if (ropt.timingDriven == RouterOptions{}.timingDriven &&
-      envLong("M3D_ROUTE_TIMING_DRIVEN", 0, &l)) {
-    ropt.timingDriven = l != 0;
-  }
 }
 
 /// M3D_PLACE_ENGINE override for the global-place engine, with the same
@@ -409,24 +398,28 @@ void seedPlacementByModules(Tile& tile, const Floorplan& fp) {
   }
 }
 
-void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFlags& flags,
-                    std::ostringstream& callerTrace) {
-  Netlist& nl = out.tile->netlist;
-
+FlowOptions resolveFlowOptions(const FlowOptions& optIn) {
   // Fan the flow-wide thread knob into every stage option still at "auto"
-  // (stage-specific overrides win). Report the resolved count once so run
-  // reports record what the machine actually used.
+  // (stage-specific overrides win).
   FlowOptions opt = optIn;
   if (opt.placer.numThreads == 0) opt.placer.numThreads = opt.numThreads;
   if (opt.router.numThreads == 0) opt.router.numThreads = opt.numThreads;
   if (opt.optBase.numThreads == 0) opt.optBase.numThreads = opt.numThreads;
-  // Router env overrides and the ECO seed default must be resolved before
-  // the stage keys are computed: the keys hash the effective knobs.
-  applyRouterEnvOverrides(opt.router);
   applyPlacerEnvOverrides(opt.placer);
   if (opt.ecoRouteFrom.empty()) {
     if (const char* env = std::getenv("M3D_ECO_ROUTE_FROM")) opt.ecoRouteFrom = env;
   }
+  return opt;
+}
+
+void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFlags& flags,
+                    std::ostringstream& callerTrace) {
+  Netlist& nl = out.tile->netlist;
+
+  // Resolved before the stage keys are computed: the keys hash the
+  // effective knobs. Report the resolved thread count once so run reports
+  // record what the machine actually used.
+  const FlowOptions opt = resolveFlowOptions(optIn);
   obs::gauge("parallel.threads").set(static_cast<double>(par::resolveThreads(opt.numThreads)));
 
   // --- Stage cache setup ---------------------------------------------------
@@ -664,35 +657,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     obs::ScopedPhase phase(kPipelineStageNames[3]);  // route
     if (cache.enabled()) phase.attr("cache_hit", stageRestored(3) ? 1.0 : 0.0);
     if (!stageRestored(3)) {
-    RouterOptions ropt = opt.router;
     out.grid = std::make_unique<RouteGrid>(nl, out.fp.die, out.routingBeol, opt.grid);
-    // Timing-driven routing: per-net criticality from an STA over the
-    // placed design's estimated parasitics (routed parasitics do not exist
-    // yet), evaluated at the design's own achievable period so the
-    // criticality spread is meaningful regardless of the target. The same
-    // persistent engine then backs the mid-route refresh hook: between
-    // rip-up rounds the router hands back the (fully routed) geometry, we
-    // re-extract real parasitics into the same vector, and the engine
-    // re-propagates arrivals without rebuilding its graph.
-    if (ropt.timingDriven && ropt.netCriticality.empty()) {
-      obs::ScopedPhase crit("route.criticality");
-      EstimationOptions eopt =
-          makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-      eopt.lengthScale = flags.estimationLengthScale;
-      auto est = std::make_shared<std::vector<NetParasitics>>(estimateDesign(nl, eopt));
-      auto sta = std::make_shared<Sta>(nl, *est, nullptr, kTypicalCorner, opt.numThreads);
-      ropt.netCriticality = sta->netCriticality(sta->findMinPeriod());
-      crit.attr("nets", static_cast<double>(ropt.netCriticality.size()));
-      if (ropt.critRefreshEvery > 0) {
-        const Netlist* nlp = &nl;
-        const RouteGrid* grid = out.grid.get();
-        ropt.criticalityRefresh = [nlp, est, sta, grid](const RoutingResult& routes) {
-          *est = extractDesign(*nlp, *grid, routes);
-          sta->invalidateAllNets();
-          return sta->netCriticality(sta->findMinPeriod());
-        };
-      }
-    }
     // Incremental ECO reroute: seed from a prior run's stage checkpoint
     // when one is named; any load/compat failure degrades to a full route.
     bool ecoRouted = false;
@@ -702,7 +667,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
       if (st.ok() && prevOut.tile != nullptr && !prevOut.routes.nets.empty()) {
         const RouteGrid prevGrid(prevOut.tile->netlist, prevOut.fp.die, prevOut.routingBeol,
                                  opt.grid);
-        out.routes = routeDesignEco(nl, *out.grid, prevGrid, prevOut.routes, ropt);
+        out.routes = routeDesignEco(nl, *out.grid, prevGrid, prevOut.routes, opt.router);
         ecoRouted = true;
         phase.attr("eco_nets_ripped", static_cast<double>(out.routes.ecoNetsRipped));
         phase.attr("eco_nets_reused", static_cast<double>(out.routes.ecoNetsReused));
@@ -719,7 +684,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
                       << "); running a full route";
       }
     }
-    if (!ecoRouted) out.routes = routeDesign(nl, *out.grid, ropt);
+    if (!ecoRouted) out.routes = routeDesign(nl, *out.grid, opt.router);
     phase.attr("wl_m", displayM(out.routes.totalWirelengthUm));
     phase.attr("f2f_bumps", static_cast<double>(out.routes.f2fBumps));
     phase.attr("overflow_edges", out.routes.overflowedEdges);

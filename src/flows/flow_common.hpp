@@ -236,6 +236,15 @@ struct PipelineFlags {
   double estimationLengthScale = 1.0;
 };
 
+/// A flow's effective options: FlowOptions::numThreads fanned into every
+/// stage option still at "auto", plus the M3D_PLACE_ENGINE and
+/// M3D_ECO_ROUTE_FROM environment overrides (an explicit option always
+/// wins). Idempotent. runPnrPipeline resolves its options on entry; a flow
+/// that uses stage options before the pipeline (the pseudo flows' placement)
+/// resolves once up front and hands the result on, so every stage of the
+/// run sees the same knobs.
+FlowOptions resolveFlowOptions(const FlowOptions& opt);
+
 /// Runs the common pipeline on out.tile->netlist over out.fp/out.routingBeol
 /// and fills out.metrics (except flow/tile names and footprint fields, which
 /// the caller owns). \p trace accumulates step logs.

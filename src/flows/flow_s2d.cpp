@@ -29,11 +29,14 @@ namespace {
 /// combined-stack design is legalized (the overlap-fixing step), clocked,
 /// and routed; S2D gets no post-partition optimization, C2D gets one
 /// estimated-parasitics pass.
-FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& opt, FlowKind kind) {
+FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& optIn, FlowKind kind) {
   const bool balanced = kind == FlowKind::kBfS2D;
   const bool c2d = kind == FlowKind::kC2D;
 
-  obs::ScopedRun run = beginFlowRun(kind, cfg.name, opt);
+  obs::ScopedRun run = beginFlowRun(kind, cfg.name, optIn);
+  // The pseudo placement and optimization below run outside the pipeline,
+  // so they need the run's effective knobs too.
+  const FlowOptions opt = resolveFlowOptions(optIn);
   std::ostringstream trace;
   FlowOutput out;
   // One span per pseudo-flow stage; re-emplacing closes the previous span.
@@ -113,7 +116,6 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& opt, FlowKind
     PlacerOptions popt = opt.placer;
     popt.useExistingPositions = true;
     popt.legalizer = pseudoLopt;
-    if (popt.numThreads == 0) popt.numThreads = opt.numThreads;
     const PlaceResult pr = globalPlace(nl, pseudoFp, popt);
     trace << "pseudo place: hpwl_mm=" << displayMm(pr.hpwlUm) << "\n";
     stage->attr("hpwl_mm", displayMm(pr.hpwlUm));
@@ -142,13 +144,11 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& opt, FlowKind
     const int presized = presizeForLoad(nl, paras, provider);
     trace << "pseudo presize: resized=" << presized << "\n";
     MaxFreqOptResult r;
-    OptimizerOptions obase = opt.optBase;
-    if (obase.numThreads == 0) obase.numThreads = opt.numThreads;
     if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, paras, provider, nullptr, obase,
+      r = optimizeForMaxFrequency(nl, paras, provider, nullptr, opt.optBase,
                                   opt.maxFreqRounds);
     } else {
-      OptimizerOptions o = obase;
+      OptimizerOptions o = opt.optBase;
       o.targetPeriod = opt.targetPeriodNs * 1e-9;
       const OptimizeResult res = optimizeTiming(nl, paras, provider, nullptr, o);
       r.cellsResized = res.cellsResized;

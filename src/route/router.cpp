@@ -45,12 +45,6 @@ constexpr int kMaxBucket = (1 << 20) - 1;
 /// packed OpenEntry coordinates.
 constexpr int kMaxRouteLayers = 256;
 
-/// Ceiling on the per-net criticality factor. A factor of exactly 1 would
-/// blend a blocked edge's infinite cost as 0 * inf = NaN; capping at 0.99
-/// keeps blocked edges infinite while still letting the most critical nets
-/// route almost purely on base cost.
-constexpr double kMaxCritFactor = 0.99;
-
 /// One open-list entry. Gcell coordinates ride along packed in \c xyl
 /// (x:12, y:12, layer:8 bits) so neither pop nor heuristic evaluation has
 /// to re-derive them from the node id (nodeX/nodeY/nodeLayer cost an
@@ -227,10 +221,7 @@ class Router {
     // estimate must use the cheapest per-cut base cost (an F2F cut may be
     // configured cheaper than a regular one).
     minViaBase_ = opt_.viaCost;
-    viaBase_.resize(static_cast<std::size_t>(std::max(0, grid_.numLayers() - 1)));
     for (int cut = 0; cut + 1 < grid_.numLayers(); ++cut) {
-      viaBase_[static_cast<std::size_t>(cut)] =
-          grid_.viaIsF2f(cut) ? opt_.f2fViaCost : opt_.viaCost;
       if (grid_.viaIsF2f(cut)) minViaBase_ = std::min(opt_.viaCost, opt_.f2fViaCost);
     }
     // Flat per-layer direction table so the pop loop avoids chasing the
@@ -239,13 +230,6 @@ class Router {
     layerHoriz_.resize(static_cast<std::size_t>(grid_.numLayers()));
     for (int l = 0; l < grid_.numLayers(); ++l) {
       layerHoriz_[static_cast<std::size_t>(l)] = grid_.layerHorizontal(l) ? 1 : 0;
-    }
-    // Criticality factors start from the pre-route STA and stay fixed
-    // unless opt_.criticalityRefresh re-derives them between rip-up rounds;
-    // precomputing the flat table keeps the per-net cost blend and the
-    // ordering comparator branch-free on the hot paths.
-    if (opt_.timingDriven && !opt_.netCriticality.empty()) {
-      setCriticality(opt_.netCriticality);
     }
     everRipped_.assign(static_cast<std::size_t>(nl_.numNets()), 0);
   }
@@ -404,8 +388,8 @@ class Router {
   }
 
  private:
-  /// Builds the full route order: every multi-pin net, most-critical first
-  /// when timing-driven, then shortest first (stable by id).
+  /// Builds the full route order: every multi-pin net, shortest first
+  /// (stable by id).
   void buildOrder() {
     order_.clear();
     for (NetId n = 0; n < nl_.numNets(); ++n) {
@@ -414,31 +398,14 @@ class Router {
     sortNets(order_);
   }
 
-  /// Deterministic net ordering: criticality descending (timing-driven
-  /// runs), then HPWL ascending, then id. With no criticality this is
-  /// exactly the historical shortest-first order.
+  /// Deterministic net ordering: HPWL ascending, then id.
   void sortNets(std::vector<NetId>& nets) const {
     std::sort(nets.begin(), nets.end(), [this](NetId a, NetId b) {
-      if (!critFactor_.empty()) {
-        const double ca = critFactor_[static_cast<std::size_t>(a)];
-        const double cb = critFactor_[static_cast<std::size_t>(b)];
-        if (ca != cb) return ca > cb;
-      }
       const Dbu ha = nl_.netHpwl(a);
       const Dbu hb = nl_.netHpwl(b);
       if (ha != hb) return ha < hb;
       return a < b;
     });
-  }
-
-  /// (Re)derives the flat criticality-factor table from per-net
-  /// criticalities: factor = min(clamp(c, 0, 1), kMaxCritFactor).
-  void setCriticality(const std::vector<double>& crit) {
-    critFactor_.assign(static_cast<std::size_t>(nl_.numNets()), 0.0);
-    const std::size_t n = std::min(critFactor_.size(), crit.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      critFactor_[i] = std::min(std::clamp(crit[i], 0.0, 1.0), kMaxCritFactor);
-    }
   }
 
   /// The negotiation loop: routes \p toRoute, then repeatedly rips up and
@@ -506,17 +473,6 @@ class Router {
                      << " ripup=" << ripup.size();
       if (ripup.empty()) break;
       if (iter + 1 >= opt_.maxIterations) break;
-      // Refresh criticalities while the result is still fully routed (the
-      // rip-up set is unrouted just below), so the callback can extract
-      // real parasitics from the complete geometry. The new factors feed
-      // the sortNets call on this round's rip-up cohort.
-      if (opt_.timingDriven && opt_.criticalityRefresh && opt_.critRefreshEvery > 0 &&
-          (iter + 1) % opt_.critRefreshEvery == 0) {
-        obs::ScopedPhase crit("route.crit_refresh");
-        setCriticality(opt_.criticalityRefresh(result));
-        obs::counter("route.crit_refreshes").add(1);
-        crit.attr("iter", static_cast<double>(iter + 1));
-      }
       for (NetId n : ripup) {
         everRipped_[static_cast<std::size_t>(n)] = 1;
         unroute(result.nets[static_cast<std::size_t>(n)]);
@@ -694,15 +650,9 @@ class Router {
   /// Multi-source A* from the current tree to \p target, restricted to the
   /// gcell window \p win (which always contains the tree and the target).
   /// Returns true and fills \p path (target..treeNode) on success. Reads
-  /// only the batch-frozen cost caches and \p s. \p cf is the net's
-  /// criticality factor in [0, kMaxCritFactor]: costs blend toward their
-  /// congestion-free base as cf rises (base + (1-cf) * (cost - base)),
-  /// which keeps every scaled cost >= base, so the unscaled heuristic
-  /// stays admissible. cf == 0 takes the untouched cached-cost path --
-  /// bit-identical to a non-timing-driven search (the blend expression is
-  /// not an FP identity at cf == 0).
+  /// only the batch-frozen cost caches and \p s.
   bool search(const std::vector<int>& treeNodes, int target, const Window& win,
-              std::vector<int>& path, SearchScratch& s, double cf) const {
+              std::vector<int>& path, SearchScratch& s) const {
     ++s.epoch;
     BucketQueue& open = s.open;
     open.reset();
@@ -721,22 +671,8 @@ class Router {
       hLayer[l] = static_cast<double>(std::abs(l - tl)) * minViaBase_;
     }
 
-    // Edge-cost views for this search: the frozen cache, blended toward the
-    // base cost for critical nets (a predictable untaken branch otherwise).
-    const double keep = 1.0 - cf;
-    auto wCost = [&](int e) {
-      double c = wireCostCache_[static_cast<std::size_t>(e)];
-      if (cf > 0.0) c = 1.0 + keep * (c - 1.0);
-      return c;
-    };
-    auto vCost = [&](int v, int cut) {
-      double c = viaCostCache_[static_cast<std::size_t>(v)];
-      if (cf > 0.0) {
-        const double b = viaBase_[static_cast<std::size_t>(cut)];
-        c = b + keep * (c - b);
-      }
-      return c;
-    };
+    const double* wCost = wireCostCache_.data();
+    const double* vCost = viaCostCache_.data();
 
     // Relaxation works on explicit gcell coordinates: callers always know
     // the neighbor's (x, y, l), and deriving them from the node id would
@@ -791,30 +727,30 @@ class Router {
       // Wire moves along the preferred direction, within the window.
       if (layerHoriz_[static_cast<std::size_t>(l)] != 0) {
         if (x < win.x1 && u + 1 != par) {
-          const double c = wCost(u);
+          const double c = wCost[u];
           if (c < kInf) relax(u + 1, x + 1, y, l, g + c, u);
         }
         if (x > win.x0 && u - 1 != par) {
-          const double c = wCost(u - 1);
+          const double c = wCost[u - 1];
           if (c < kInf) relax(u - 1, x - 1, y, l, g + c, u);
         }
       } else {
         if (y < win.y1 && u + nx != par) {
-          const double c = wCost(u);
+          const double c = wCost[u];
           if (c < kInf) relax(u + nx, x, y + 1, l, g + c, u);
         }
         if (y > win.y0 && u - nx != par) {
-          const double c = wCost(u - nx);
+          const double c = wCost[u - nx];
           if (c < kInf) relax(u - nx, x, y - 1, l, g + c, u);
         }
       }
       // Vias (via edge between l and l+1 is keyed by the lower node id).
       if (l + 1 < numLayers && u + layerStride != par) {
-        const double c = vCost(u, l);
+        const double c = vCost[u];
         if (c < kInf) relax(u + layerStride, x, y, l + 1, g + c, u);
       }
       if (l > 0 && u - layerStride != par) {
-        const double c = vCost(u - layerStride, l - 1);
+        const double c = vCost[u - layerStride];
         if (c < kInf) relax(u - layerStride, x, y, l - 1, g + c, u);
       }
     }
@@ -830,9 +766,8 @@ class Router {
   /// routable). The ladder is a pure function of the tree, the sink and
   /// the options -- never of the schedule.
   bool searchWithWindows(const std::vector<int>& treeNodes, int target, int bx0, int by0,
-                         int bx1, int by1, std::vector<int>& path, SearchScratch& s,
-                         double cf) const {
-    if (opt_.searchHaloGcells < 0) return search(treeNodes, target, fullWindow(), path, s, cf);
+                         int bx1, int by1, std::vector<int>& path, SearchScratch& s) const {
+    if (opt_.searchHaloGcells < 0) return search(treeNodes, target, fullWindow(), path, s);
     const int tx = grid_.nodeX(target);
     const int ty = grid_.nodeY(target);
     const int wx0 = std::min(bx0, tx);
@@ -847,7 +782,7 @@ class Router {
       win.y1 = std::min(grid_.ny() - 1, wy1 + halo);
       const bool coversGrid = win.x0 == 0 && win.y0 == 0 && win.x1 == grid_.nx() - 1 &&
                               win.y1 == grid_.ny() - 1;
-      if (search(treeNodes, target, win, path, s, cf)) return true;
+      if (search(treeNodes, target, win, path, s)) return true;
       if (coversGrid) return false;
       ++s.fallbacks;
     }
@@ -856,8 +791,6 @@ class Router {
   /// Routes one net against the current (batch-frozen) congestion state.
   /// Writes only \p out and \p s; usage commits happen after the batch.
   void routeNet(NetId netId, NetRoute& out, SearchScratch& s) const {
-    const double cf =
-        critFactor_.empty() ? 0.0 : critFactor_[static_cast<std::size_t>(netId)];
     const Net& net = nl_.net(netId);
     // Unique pin nodes; driver first.
     std::vector<int> pinNodes;
@@ -896,7 +829,7 @@ class Router {
     std::vector<int>& path = s.path;
     for (int t : targets) {
       if (s.tree[static_cast<std::size_t>(t)] == s.treeEpoch) continue;  // already reached
-      if (!searchWithWindows(treeNodes, t, bx0, by0, bx1, by1, path, s, cf)) {
+      if (!searchWithWindows(treeNodes, t, bx0, by0, bx1, by1, path, s)) {
         out.routed = false;
         continue;
       }
@@ -1010,8 +943,6 @@ class Router {
   std::vector<double> viaCostCache_;
   std::vector<std::unique_ptr<SearchScratch>> scratch_;
   std::vector<NetId> order_;
-  std::vector<double> critFactor_;   ///< empty unless timing-driven.
-  std::vector<double> viaBase_;      ///< per-cut base via cost.
   std::vector<std::uint8_t> everRipped_;  ///< per net: ripped at least once.
   int threads_ = 1;
   int batchSize_ = 1;

@@ -9,7 +9,6 @@
 /// rerouted for a bounded number of iterations.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "route/route_grid.hpp"
@@ -31,8 +30,6 @@ struct NetRoute {
   std::vector<RouteSeg> segs;
   bool routed = false;
 };
-
-struct RoutingResult;
 
 struct RouterOptions {
   int maxIterations = 5;         ///< rip-up & reroute rounds.
@@ -62,29 +59,6 @@ struct RouterOptions {
   /// the search and keeps negotiation local (measurably lower overflow
   /// than full-grid search on the benchmark tiles).
   int searchHaloGcells = 1;
-  /// Timing-driven ordering and cost shaping. When set and netCriticality
-  /// is non-empty, nets route most-critical first and each net's wire/via
-  /// costs are blended toward their congestion-free base by its criticality
-  /// factor min(crit, 0.99) (VPR-style: critical nets prefer short paths,
-  /// non-critical nets absorb detours; the 0.99 clamp keeps blocked-edge
-  /// costs infinite, since a factor of exactly 1 would multiply infinity by
-  /// zero). A zero-criticality net routes bit-identically to the
-  /// non-timing-driven router.
-  bool timingDriven = false;
-  /// Per-net criticality in [0, 1], indexed by NetId (typically
-  /// Sta::netCriticality). Empty disables timing-driven behavior even when
-  /// timingDriven is set.
-  std::vector<double> netCriticality;
-  /// Refresh the criticalities between negotiation iterations: every
-  /// critRefreshEvery completed rip-up rounds the router hands the current
-  /// (still fully routed) result to this callback and rebuilds its
-  /// criticality factors from the returned vector before re-sorting the
-  /// rip-up cohort. The flow installs an incremental-STA closure here
-  /// (re-extract the routed parasitics, cone-update arrivals); unset, the
-  /// pre-route criticalities stay fixed for the whole route. Only consulted
-  /// when timing-driven routing is active.
-  int critRefreshEvery = 1;
-  std::function<std::vector<double>(const RoutingResult&)> criticalityRefresh;
 };
 
 struct RoutingResult {

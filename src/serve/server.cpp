@@ -24,6 +24,15 @@ namespace {
 
 #ifdef __unix__
 
+/// True when a server accepts connections at \p addr (a connect probe).
+bool socketAnswers(const sockaddr_un& addr) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return false;
+  const bool live = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
+  ::close(fd);
+  return live;
+}
+
 /// Sends the whole buffer (handling short writes); false on error.
 bool sendAll(int fd, const std::string& data) {
   std::size_t off = 0;
@@ -118,14 +127,18 @@ bool Server::start(std::string* err) {
   }
   std::memcpy(addr.sun_path, opt_.socketPath.c_str(), opt_.socketPath.size() + 1);
 
+  // A stale socket file from a crashed daemon would make bind fail; remove
+  // it only when nothing answers there (never steal a live server's socket).
+  if (socketAnswers(addr)) {
+    if (err != nullptr) *err = "socket " + opt_.socketPath + " is in use by a running server";
+    return false;
+  }
+  ::unlink(opt_.socketPath.c_str());
   listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listenFd_ < 0) {
     if (err != nullptr) *err = std::string("socket: ") + std::strerror(errno);
     return false;
   }
-  // A stale socket file from a crashed daemon would make bind fail; remove
-  // it only when nothing answers there (never steal a live server's socket).
-  ::unlink(opt_.socketPath.c_str());
   if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
       ::listen(listenFd_, 64) != 0) {
     if (err != nullptr) *err = std::string("bind/listen: ") + std::strerror(errno);

@@ -59,7 +59,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds the socket and spawns the accept + executor threads. False with
-  /// \p err on failure (socket errors, path too long for sockaddr_un).
+  /// \p err on failure (socket errors, path too long for sockaddr_un, or
+  /// another server already answering at the path; a stale socket file with
+  /// no server behind it is removed and reused).
   bool start(std::string* err);
 
   /// Initiates graceful shutdown. Safe from any thread, idempotent.

@@ -701,13 +701,9 @@ void Sta::ensureParam() const {
 // ---------------------------------------------------------------------------
 // Queries
 
-double Sta::endpointSlack(double period, const std::vector<double>& arr, int pin,
-                          double* reqOut) const {
+double Sta::endpointSlack(double period, const std::vector<double>& arr, int pin) const {
   const double a = arr[static_cast<std::size_t>(pin)];
-  if (a <= kNoArrival) {
-    if (reqOut) *reqOut = 0.0;
-    return std::numeric_limits<double>::infinity();  // unconstrained
-  }
+  if (a <= kNoArrival) return std::numeric_limits<double>::infinity();  // unconstrained
   const NetPin p = pinOf(pin);
   double req = 0.0;
   if (p.kind == NetPin::Kind::kPort) {
@@ -719,56 +715,7 @@ double Sta::endpointSlack(double period, const std::vector<double>& arr, int pin
     const double unc = clock_ ? clock_->uncertainty : 0.0;
     req = period - corner_.delayDerate * c.setup + lat - unc;
   }
-  if (reqOut) *reqOut = req;
   return req - a;
-}
-
-std::vector<double> Sta::netCriticality(double period) const {
-  ensureArrivals(period);
-
-  // Backward required-time sweep. Seeded at the constrained endpoints with
-  // the same required times the setup check uses, then relaxed over the
-  // fanin CSR in reverse level order (reverse-topological): the required
-  // time at an edge's source is at most the sink's requirement minus the
-  // edge delay. min is exact, so the relaxation order cannot matter.
-  constexpr double kNoReq = 1e30;
-  std::vector<double> req(static_cast<std::size_t>(numPins_), kNoReq);
-  for (const int e : endpoints_) {
-    double r = 0.0;
-    const double s = endpointSlack(period, arr_, e, &r);
-    if (s == std::numeric_limits<double>::infinity()) continue;
-    req[static_cast<std::size_t>(e)] = std::min(req[static_cast<std::size_t>(e)], r);
-  }
-  for (int i = numPins_ - 1; i >= 0; --i) {
-    const int v = levelNodes_[static_cast<std::size_t>(i)];
-    const double rv = req[static_cast<std::size_t>(v)];
-    if (rv >= kNoReq) continue;
-    for (int k = faninStart_[static_cast<std::size_t>(v)];
-         k < faninStart_[static_cast<std::size_t>(v) + 1]; ++k) {
-      const FaninEdge& fe = fanins_[static_cast<std::size_t>(k)];
-      double& rf = req[static_cast<std::size_t>(fe.fromPin)];
-      rf = std::min(rf, rv - fe.delay);
-    }
-  }
-
-  // Net criticality = worst sink pin: clamp(1 - slack / period, 0, 1).
-  std::vector<double> crit(static_cast<std::size_t>(nl_.numNets()), 0.0);
-  for (NetId n = 0; n < nl_.numNets(); ++n) {
-    const Net& net = nl_.net(n);
-    if (net.pins.size() < 2 || net.driverIdx < 0) continue;
-    double worst = 0.0;
-    for (int k = 0; k < static_cast<int>(net.pins.size()); ++k) {
-      if (k == net.driverIdx) continue;
-      const int pin = pinId(net.pins[static_cast<std::size_t>(k)]);
-      const double a = arr_[static_cast<std::size_t>(pin)];
-      const double r = req[static_cast<std::size_t>(pin)];
-      if (a <= kNoArrival || r >= kNoReq) continue;  // unconstrained sink
-      const double slack = r - a;
-      worst = std::max(worst, std::clamp(1.0 - slack / period, 0.0, 1.0));
-    }
-    crit[static_cast<std::size_t>(n)] = worst;
-  }
-  return crit;
 }
 
 TimingReport Sta::analyze(double period) const {

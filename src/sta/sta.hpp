@@ -163,17 +163,6 @@ class Sta {
   /// to stitch inter-tile half-paths.
   std::vector<double> portArrivals(double period) const;
 
-  /// Per-net setup criticality at \p period, indexed by NetId, for the
-  /// timing-driven router (RouterOptions::netCriticality). A net's
-  /// criticality is max over its sink pins of clamp(1 - slack / period,
-  /// 0, 1), with pin slack = required - arrival from a full forward
-  /// arrival sweep plus a backward required-time sweep over the same
-  /// fanin CSR. Pins no constrained path reaches get slack +inf, i.e.
-  /// criticality 0. Deterministic: the backward sweep is a sequential
-  /// reverse-level relaxation (min is exact, so the order within a level
-  /// cannot matter).
-  std::vector<double> netCriticality(double period) const;
-
   /// Hold analysis: worst hold slack over all sequential/macro data
   /// endpoints, using minimum (earliest) arrivals. Hold slack =
   /// minArrival - (captureLatency + holdMargin). With a balanced clock and
@@ -239,8 +228,7 @@ class Sta {
   std::int64_t coneSweep(const std::vector<int>& seeds, Recompute&& re) const;
 
   void propagateMin(std::vector<double>& arr) const;
-  double endpointSlack(double period, const std::vector<double>& arr, int pin,
-                       double* reqOut = nullptr) const;
+  double endpointSlack(double period, const std::vector<double>& arr, int pin) const;
 
   const Netlist& nl_;
   const std::vector<NetParasitics>& paras_;

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <random>
+#include <algorithm>
 
 #include "lib/stdcell_factory.hpp"
 #include "netlist/logic_cloud.hpp"
-#include "place/detailed.hpp"
-#include "place/legalizer.hpp"
 #include "place/placer.hpp"
 #include "report/congestion.hpp"
 #include "route/router.hpp"
@@ -14,6 +12,7 @@
 namespace m3d {
 namespace {
 
+/// A globally placed logic cloud for the congestion and route-tree checks.
 class DetailedFixture : public ::testing::Test {
  protected:
   DetailedFixture() : tech_(makeTech28(6)), lib_(makeStdCellLib(tech_)), nl_(&lib_) {
@@ -40,23 +39,6 @@ class DetailedFixture : public ::testing::Test {
   Netlist nl_;
   Floorplan fp_;
 };
-
-TEST_F(DetailedFixture, ReducesHpwlAndStaysLegal) {
-  ASSERT_EQ(checkLegality(nl_, fp_), "");
-  const DetailedPlaceResult r = detailedPlace(nl_, fp_);
-  EXPECT_LE(r.hpwlAfterUm, r.hpwlBeforeUm);
-  EXPECT_GT(r.swapsAccepted + r.slidesAccepted, 0);
-  EXPECT_EQ(checkLegality(nl_, fp_), "");
-  EXPECT_TRUE(nl_.validate().empty());
-}
-
-TEST_F(DetailedFixture, IdempotentOnceConverged) {
-  detailedPlace(nl_, fp_, DetailedPlaceOptions{.maxPasses = 6});
-  const DetailedPlaceResult second = detailedPlace(nl_, fp_, DetailedPlaceOptions{.maxPasses = 1});
-  // A converged placement admits (almost) no further strictly-improving
-  // moves; HPWL must not increase.
-  EXPECT_LE(second.hpwlAfterUm, second.hpwlBeforeUm + 1e-9);
-}
 
 TEST_F(DetailedFixture, RoutedTreesValidate) {
   RouteGrid grid(nl_, fp_.die, tech_.beol);

@@ -236,36 +236,16 @@ TEST(RouterDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 // Every search-kernel configuration -- the shipped default (windowed A*),
-// full-grid search, a degenerate zero halo exercising the fallback ladder,
-// and timing-driven ordering/costing -- must be bit-identical at any
-// thread count.
+// full-grid search, and a degenerate zero halo exercising the fallback
+// ladder -- must be bit-identical at any thread count.
 TEST(RouterDeterminism, KernelConfigsBitIdenticalAcrossThreadCounts) {
-  struct Kernel {
-    int halo;
-    bool timingDriven;
-  };
-  const Kernel kernels[] = {
-      {1, false},   // shipped default
-      {-1, false},  // full-grid search
-      {0, false},   // degenerate halo exercising the ladder
-      {1, true},    // timing-driven order + cost blend
-  };
   RouterProblem problem;
-  // Synthetic but deterministic per-net criticality (a function of the net
-  // id alone) -- the determinism contract must hold for any criticality
-  // vector, so the test does not need a real STA here.
-  std::vector<double> crit(static_cast<std::size_t>(problem.nl_.numNets()));
-  for (std::size_t n = 0; n < crit.size(); ++n) {
-    crit[n] = static_cast<double>((n * 37) % 100) / 100.0;
-  }
-  for (const Kernel& k : kernels) {
+  for (const int halo : {1, -1, 0}) {
     auto routeWith = [&](int threads) {
       RouteGrid grid(problem.nl_, problem.die_, problem.tech_.beol);
       RouterOptions ropt;
       ropt.numThreads = threads;
-      ropt.searchHaloGcells = k.halo;
-      ropt.timingDriven = k.timingDriven;
-      if (k.timingDriven) ropt.netCriticality = crit;
+      ropt.searchHaloGcells = halo;
       return routeDesign(problem.nl_, grid, ropt);
     };
     const RoutingResult ref = routeWith(1);

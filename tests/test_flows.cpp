@@ -3,6 +3,7 @@
 #include "core/macro3d.hpp"
 #include "flows/case_study.hpp"
 #include "flows/flows.hpp"
+#include "scoped_env.hpp"
 
 namespace m3d {
 namespace {
@@ -116,6 +117,27 @@ TEST(FlowS2D, EndToEnd) {
   EXPECT_GT(out.metrics.f2fBumps, 0);
   // The overlap-fix displacement metric is recorded.
   EXPECT_GE(out.metrics.legalizeAvgDispUm, 0.0);
+}
+
+// The pseudo placement runs before the pipeline, so M3D_PLACE_ENGINE must
+// reach it exactly as the explicit option does.
+TEST(FlowS2D, PlaceEngineEnvMatchesOption) {
+  const auto run = [](const char* env, PlaceEngine engine) {
+    const ScopedEnv scoped("M3D_PLACE_ENGINE", env);
+    FlowOptions opt = fastOptions();
+    opt.placer.engine = engine;
+    return runFlowS2D(tinyConfig(), /*balanced=*/false, opt).metrics;
+  };
+  const DesignMetrics byEnv = run("analytic", PlaceEngine::kB2B);
+  const DesignMetrics byOption = run(nullptr, PlaceEngine::kAnalytic);
+  const DesignMetrics b2b = run(nullptr, PlaceEngine::kB2B);
+  EXPECT_EQ(byEnv.placeHpwlMm, byOption.placeHpwlMm);
+  EXPECT_EQ(byEnv.fclkMhz, byOption.fclkMhz);
+  EXPECT_EQ(byEnv.totalWirelengthM, byOption.totalWirelengthM);
+  EXPECT_EQ(byEnv.f2fBumps, byOption.f2fBumps);
+  EXPECT_EQ(byEnv.overflowedEdges, byOption.overflowedEdges);
+  EXPECT_NE(byOption.placeHpwlMm, b2b.placeHpwlMm);
+  EXPECT_NE(byOption.totalWirelengthM, b2b.totalWirelengthM);
 }
 
 TEST(FlowBfS2D, EndToEnd) {

@@ -1,42 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "scoped_env.hpp"
 
 namespace m3d::par {
 namespace {
-
-/// Scoped M3D_THREADS override; restores the previous state on destruction.
-class EnvThreads {
- public:
-  explicit EnvThreads(const char* value) {
-    if (const char* old = std::getenv("M3D_THREADS")) {
-      saved_ = old;
-      had_ = true;
-    }
-    if (value) {
-      setenv("M3D_THREADS", value, 1);
-    } else {
-      unsetenv("M3D_THREADS");
-    }
-  }
-  ~EnvThreads() {
-    if (had_) {
-      setenv("M3D_THREADS", saved_.c_str(), 1);
-    } else {
-      unsetenv("M3D_THREADS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 TEST(Parallel, EmptyRangeCallsNothing) {
   std::atomic<int> calls{0};
@@ -117,7 +90,7 @@ TEST(Parallel, NestedCallsRunInlineWithoutDeadlock) {
 }
 
 TEST(Parallel, EnvOverrideForcesSequentialFallback) {
-  EnvThreads env("1");
+  ScopedEnv env("M3D_THREADS", "1");
   EXPECT_EQ(envThreadOverride(), 1);
   EXPECT_EQ(resolveThreads(0), 1);
   // With the override active an auto-threaded loop runs entirely on the
@@ -133,21 +106,21 @@ TEST(Parallel, EnvOverrideForcesSequentialFallback) {
 
 TEST(Parallel, ThreadResolutionPrecedence) {
   {
-    EnvThreads env("3");
+    ScopedEnv env("M3D_THREADS", "3");
     EXPECT_EQ(resolveThreads(0), 3);  // env wins over hardware
     EXPECT_EQ(resolveThreads(2), 2);  // explicit request wins over env
   }
   {
-    EnvThreads env(nullptr);
+    ScopedEnv env("M3D_THREADS", nullptr);
     EXPECT_EQ(envThreadOverride(), 0);
     EXPECT_EQ(resolveThreads(0), hardwareConcurrency());
   }
   {
-    EnvThreads env("not_a_number");
+    ScopedEnv env("M3D_THREADS", "not_a_number");
     EXPECT_EQ(envThreadOverride(), 0);
   }
   {
-    EnvThreads env("0");
+    ScopedEnv env("M3D_THREADS", "0");
     EXPECT_EQ(envThreadOverride(), 0);
   }
   EXPECT_EQ(resolveThreads(kMaxThreads + 100), kMaxThreads);  // clamp

@@ -115,7 +115,6 @@ TEST(ObsRunDiff, IncrementalStaKeysGatePolicy) {
   EXPECT_EQ(metricDirection("span.post_route_opt.self_ms"), MetricDirection::kHigherWorse);
   EXPECT_EQ(metricDirection("counters.sta.incr_updates"), MetricDirection::kInfo);
   EXPECT_EQ(metricDirection("counters.sta.cone_nodes"), MetricDirection::kInfo);
-  EXPECT_EQ(metricDirection("counters.route.crit_refreshes"), MetricDirection::kInfo);
 }
 
 // Direction policy lock for the placer-engine ablation gate: HPWL and

@@ -3,11 +3,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "core/macro3d.hpp"
 #include "db/stage_cache.hpp"
@@ -25,6 +30,7 @@
 /// Flow-service tests.
 ///  - Serve* suites (ctest label "serve"): protocol round trips, queue
 ///    scheduling/coalescing semantics, spec -> options mapping. No flows run.
+///  - ServeSocket (label "serve"): socket-path ownership between daemons.
 ///  - ServeFlow* suites (labels "serve;slow"): end-to-end -- concurrent
 ///    same-key stage-cache races, torn-entry self-healing, LRU eviction,
 ///    and a full in-process daemon exercised by concurrent clients
@@ -603,6 +609,43 @@ ServerOptions serverOptions(const std::string& tag, int executors) {
   opt.jobThreads = 1;
   opt.reportPath = dir + "/report.json";
   return opt;
+}
+
+// A second daemon on a live daemon's path must refuse to start instead of
+// unlinking the socket out from under it; a stale socket file (its owner
+// gone without cleanup) is reclaimed.
+TEST(ServeSocket, RefusesLiveSocketAndReclaimsStaleOne) {
+  const ServerOptions opt = serverOptions("m3d_serve_socket", /*executors=*/1);
+  std::string err;
+  {
+    TestServer first(opt);
+    ASSERT_TRUE(first.start());
+    Server second(opt);
+    EXPECT_FALSE(second.start(&err));
+    EXPECT_NE(err.find("in use by a running server"), std::string::npos) << err;
+    Client c;
+    ASSERT_TRUE(c.connect(opt.socketPath, &err)) << err;
+    EXPECT_TRUE(c.ping(&err)) << err;
+    first.shutdownAndJoin();
+  }
+  {
+    // Bind without listening, then close: the file stays, nothing answers.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", opt.socketPath.c_str());
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    ::close(fd);
+    ASSERT_TRUE(fs::exists(opt.socketPath));
+    TestServer again(opt);
+    ASSERT_TRUE(again.start());
+    Client c;
+    ASSERT_TRUE(c.connect(opt.socketPath, &err)) << err;
+    EXPECT_TRUE(c.ping(&err)) << err;
+    again.shutdownAndJoin();
+  }
+  fs::remove_all(tempPath("m3d_serve_socket"));
 }
 
 TEST(ServeFlowServer, FourConcurrentClientsMatchSerialBitForBit) {
