@@ -101,7 +101,7 @@ int benchServeMain(bool smoke) {
   // Coalesced ECO batch: 4 bump-pitch perturbations of the base design,
   // submitted at once. The queue serializes them behind the shared baseKey;
   // each replays the place/pre_route_opt/cts prefix and ECO-reroutes from
-  // the base flow job's route checkpoint.
+  // the base flow job's signoff checkpoint.
   const double scales[4] = {1.25, 1.5, 1.75, 2.0};
   std::vector<std::uint64_t> ecoIds;
   for (const double s : scales) {

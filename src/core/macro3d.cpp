@@ -7,9 +7,8 @@
 
 namespace m3d {
 
-FlowOutput runFlowMacro3D(const TileConfig& cfg, const FlowOptions& opt) {
-  obs::ScopedRun run = beginFlowRun(FlowKind::kMacro3D, cfg.name, opt);
-  std::ostringstream trace;
+FlowOutput macro3dEntryState(const TileConfig& cfg, const FlowOptions& opt,
+                             std::ostringstream& trace) {
   FlowOutput out;
   {
     // --- Step 1: per-die floorplans with the F2F footprint -----------------
@@ -65,6 +64,14 @@ FlowOutput runFlowMacro3D(const TileConfig& cfg, const FlowOptions& opt) {
     }
     assignPorts(nl, die);
   }
+  return out;
+}
+
+FlowOutput runFlowMacro3D(const TileConfig& cfg, const FlowOptions& opt) {
+  obs::ScopedRun run = beginFlowRun(FlowKind::kMacro3D, cfg.name, opt);
+  std::ostringstream trace;
+  FlowOutput out = macro3dEntryState(cfg, opt, trace);
+  const Rect die = out.fp.die;
 
   // --- Step 3: standard 2D P&R on the superimposed design -------------------
   PipelineFlags flags;

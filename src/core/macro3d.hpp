@@ -30,6 +30,12 @@ namespace m3d {
 /// opt.stackOrder selects the combined-stack layer ordering.
 FlowOutput runFlowMacro3D(const TileConfig& cfg, const FlowOptions& opt = FlowOptions{});
 
+/// Steps 1-2: the pipeline entry state runFlowMacro3D hands to
+/// runPnrPipeline (and that the stage keys hash). Appends its steps to
+/// \p trace.
+FlowOutput macro3dEntryState(const TileConfig& cfg, const FlowOptions& opt,
+                             std::ostringstream& trace);
+
 /// Step-4 result: the separated per-die views.
 struct SeparatedDesign {
   Beol logicDieBeol;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 
+#include "lib/stdcell_factory.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -32,7 +33,7 @@ Point centroid(const std::vector<Sink>& sinks, std::size_t lo, std::size_t hi) {
 CtsResult synthesizeClockTree(Netlist& nl, NetId clockNet, const Floorplan& fp,
                               const CtsOptions& opt) {
   CtsResult result;
-  const CellTypeId leafBufId = nl.library().findCell(opt.bufferCell);
+  const CellTypeId leafBufId = nl.library().findCell(kBufferCell);
   assert(leafBufId != kInvalidCellType);
   // Upper tree levels drive long wires and large subtree loads; use the
   // strongest buffers there, tapering toward the leaves.

@@ -20,8 +20,7 @@
 namespace m3d {
 
 struct CtsOptions {
-  int maxSinksPerLeaf = 12;           ///< CK pins per leaf buffer.
-  const char* bufferCell = "BUF_X8";  ///< buffer master for all levels.
+  int maxSinksPerLeaf = 12;  ///< CK pins per leaf buffer.
 };
 
 /// One buffer of the synthesized tree.

@@ -35,71 +35,23 @@ constexpr const char* kSecMetrics = "metrics";
 constexpr const char* kSecVerify = "verify";
 constexpr const char* kSecTrace = "trace";
 
+// Checkpoint codec of one DesignMetrics field, overloaded on its type.
+void put(BinWriter& w, const std::string& v) { w.str(v); }
+void put(BinWriter& w, double v) { w.f64(v); }
+void put(BinWriter& w, int v) { w.i32(v); }
+void put(BinWriter& w, std::int64_t v) { w.i64(v); }
+void get(BinReader& r, std::string& v) { v = r.str(); }
+void get(BinReader& r, double& v) { v = r.f64(); }
+void get(BinReader& r, int& v) { v = r.i32(); }
+void get(BinReader& r, std::int64_t& v) { v = r.i64(); }
+
 void encodeMetrics(BinWriter& w, const DesignMetrics& m) {
-  w.str(m.flow);
-  w.str(m.tileName);
-  w.f64(m.fclkMhz);
-  w.f64(m.minPeriodNs);
-  w.f64(m.emeanFj);
-  w.f64(m.powerMw);
-  w.f64(m.footprintMm2);
-  w.f64(m.logicCellAreaMm2);
-  w.f64(m.totalWirelengthM);
-  w.f64(m.wirelengthLogicDieM);
-  w.f64(m.wirelengthMacroDieM);
-  w.i64(m.f2fBumps);
-  w.f64(m.cpinNf);
-  w.f64(m.cwireNf);
-  w.i32(m.clockTreeDepth);
-  w.f64(m.clockSkewPs);
-  w.f64(m.critPathWirelengthMm);
-  w.f64(m.metalAreaMm2);
-  w.i32(m.overflowedEdges);
-  w.i32(m.unroutedNets);
-  w.i32(m.verifyViolations);
-  w.i32(m.verifyWarnings);
-  w.i64(m.f2fBumpCount);
-  w.f64(m.legalizeAvgDispUm);
-  w.f64(m.placeHpwlMm);
-  w.str(m.placeEngine);
-  w.f64(m.placeOverflow);
-  w.i32(m.placeIterations);
-  w.i32(m.cellsResized);
-  w.i32(m.buffersInserted);
+  forEachDesignMetric(m, [&w](const char*, const auto& v) { put(w, v); });
 }
 
 bool decodeMetrics(BinReader& r, DesignMetrics& m) {
   m = DesignMetrics{};
-  m.flow = r.str();
-  m.tileName = r.str();
-  m.fclkMhz = r.f64();
-  m.minPeriodNs = r.f64();
-  m.emeanFj = r.f64();
-  m.powerMw = r.f64();
-  m.footprintMm2 = r.f64();
-  m.logicCellAreaMm2 = r.f64();
-  m.totalWirelengthM = r.f64();
-  m.wirelengthLogicDieM = r.f64();
-  m.wirelengthMacroDieM = r.f64();
-  m.f2fBumps = r.i64();
-  m.cpinNf = r.f64();
-  m.cwireNf = r.f64();
-  m.clockTreeDepth = r.i32();
-  m.clockSkewPs = r.f64();
-  m.critPathWirelengthMm = r.f64();
-  m.metalAreaMm2 = r.f64();
-  m.overflowedEdges = r.i32();
-  m.unroutedNets = r.i32();
-  m.verifyViolations = r.i32();
-  m.verifyWarnings = r.i32();
-  m.f2fBumpCount = r.i64();
-  m.legalizeAvgDispUm = r.f64();
-  m.placeHpwlMm = r.f64();
-  m.placeEngine = r.str();
-  m.placeOverflow = r.f64();
-  m.placeIterations = r.i32();
-  m.cellsResized = r.i32();
-  m.buffersInserted = r.i32();
+  forEachDesignMetric(m, [&r](const char*, auto& v) { get(r, v); });
   return r.ok();
 }
 
@@ -134,8 +86,6 @@ DbStatus decodeSection(const DesignDb& dbFile, const char* name, Decode&& decode
 void hashOptimizerOptions(HashStream& h, const OptimizerOptions& o) {
   h.f64(o.targetPeriod);
   h.i32(o.maxPasses);
-  h.f64(o.bufferWireDelayThreshold);
-  h.str(o.bufferCell == nullptr ? "" : o.bufferCell);
   // resizeGuard is installed by the pipeline itself as a pure function of
   // state already in the chain — not an independent input.
 }
@@ -287,22 +237,10 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     HashStream h;
     h.u64(root.digest());
     h.str(kPipelineStageNames[0]);
-    h.b(flags.skipGlobalPlace);
-    h.b(flags.insertRepeaters);
+    h.b(flags.inheritPlacement);
     h.i64(opt.partialBlockageResolution);
     h.str(placeEngineName(opt.placer.engine));
-    h.i32(opt.placer.analytic.maxIters);
-    h.i32(opt.placer.analytic.minIters);
-    h.f64(opt.placer.analytic.targetOverflow);
-    h.f64(opt.placer.analytic.targetDensity);
-    h.f64(opt.placer.analytic.splitNetWeight);
     h.i32(opt.placer.maxIters);
-    h.i32(opt.placer.pureSolveRounds);
-    h.f64(opt.placer.anchorWeightInit);
-    h.f64(opt.placer.anchorWeightGrowth);
-    h.f64(opt.placer.clockNetWeight);
-    h.i32(opt.placer.minIters);
-    h.u64(opt.placer.seed);
     h.b(opt.placer.useExistingPositions);
     h.i64(opt.placer.legalizer.partialBlockageResolution);
     h.i32(opt.placer.legalizer.rowSearchWindow);
@@ -317,13 +255,9 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.str(kPipelineStageNames[1]);
     h.b(flags.preRouteOpt);
     if (flags.preRouteOpt) {
-      EstimationOptions eopt =
-          makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-      eopt.lengthScale = flags.estimationLengthScale;
+      const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
       h.f64(eopt.rPerUm);
       h.f64(eopt.cPerUm);
-      h.f64(eopt.parasiticScale);
-      h.f64(eopt.lengthScale);
       hashTimingGoal(h, opt);
       hashOptimizerOptions(h, opt.optBase);
       h.i64(opt.partialBlockageResolution);
@@ -337,7 +271,6 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.u64(keys[1]);
     h.str(kPipelineStageNames[2]);
     h.i32(opt.cts.maxSinksPerLeaf);
-    h.str(opt.cts.bufferCell == nullptr ? "" : opt.cts.bufferCell);
     h.i64(opt.partialBlockageResolution);
     keys[2] = h.digest();
   }
@@ -349,16 +282,10 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.u64(keys[2]);
     h.str(kPipelineStageNames[3]);
     h.u64(db::hashBeol(out.routingBeol));
-    h.i64(opt.grid.gcellSize);
     h.f64(opt.grid.trackUtilization);
-    h.f64(opt.grid.viaUtilization);
     h.f64(opt.grid.m1Utilization);
     h.i32(opt.router.maxIterations);
-    h.f64(opt.router.viaCost);
     h.f64(opt.router.f2fViaCost);
-    h.f64(opt.router.historyWeight);
-    h.f64(opt.router.presentWeightInit);
-    h.f64(opt.router.presentWeightGrowth);
     h.i32(opt.router.batchSize);
     h.i32(opt.router.searchHaloGcells);
     // Incremental ECO seed: the reused routes are a route input, so the
@@ -411,7 +338,6 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.b(opt.verify.connectivity);
     h.b(opt.verify.placement);
     h.b(opt.verify.f2f);
-    h.i32(opt.verify.maxViolationsPerKind);
     keys[6] = h.digest();
   }
   return keys;

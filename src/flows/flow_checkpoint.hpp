@@ -38,7 +38,7 @@ namespace m3d {
 
 /// Bump when the pipeline semantics or the key recipe change: stale caches
 /// from older binaries then miss instead of restoring wrong state.
-inline constexpr std::uint32_t kStageKeyVersion = 7;  // v7: route key drops the timing-driven knobs
+inline constexpr std::uint32_t kStageKeyVersion = 8;  // v8: keys drop the constant-folded knobs
 
 /// Content keys of the seven pipeline stages for this pipeline input.
 /// Call at pipeline entry (before the place stage mutates the netlist).

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -116,7 +117,6 @@ std::function<bool(InstId, CellTypeId)> frozenFootprintGuard(const Netlist& nl,
 
 obs::ScopedRun beginFlowRun(FlowKind kind, const std::string& tileName,
                             const FlowOptions& opt) {
-  obs::configureLogging(opt.logLevel);
   // Trace export: option wins, M3D_TRACE_OUT is the fallback. A collector
   // already enabled (an outer flow of a multi-flow run) is left alone; a
   // bad path warns and the flow runs untraced -- tracing never aborts.
@@ -139,29 +139,11 @@ obs::ScopedRun beginFlowRun(FlowKind kind, const std::string& tileName,
 }
 
 void finishFlowRun(FlowOutput& out, const FlowOptions& opt, obs::ScopedRun& run) {
-  const DesignMetrics& m = out.metrics;
-  run.final("fclk_mhz", m.fclkMhz);
-  run.final("min_period_ns", m.minPeriodNs);
-  run.final("emean_fj", m.emeanFj);
-  run.final("power_mw", m.powerMw);
-  run.final("footprint_mm2", m.footprintMm2);
-  run.final("logic_cell_area_mm2", m.logicCellAreaMm2);
-  run.final("total_wirelength_m", m.totalWirelengthM);
-  run.final("f2f_bumps", static_cast<double>(m.f2fBumps));
-  run.final("clock_tree_depth", m.clockTreeDepth);
-  run.final("clock_skew_ps", m.clockSkewPs);
-  run.final("crit_path_wl_mm", m.critPathWirelengthMm);
-  run.final("metal_area_mm2", m.metalAreaMm2);
-  run.final("place_hpwl_mm", m.placeHpwlMm);
-  run.final("place_overflow", m.placeOverflow);
-  run.final("place_iterations", m.placeIterations);
-  run.final("overflowed_edges", m.overflowedEdges);
-  run.final("unrouted_nets", m.unroutedNets);
-  run.final("cells_resized", m.cellsResized);
-  run.final("buffers_inserted", m.buffersInserted);
-  run.final("verify_violations", m.verifyViolations);
-  run.final("verify_warnings", m.verifyWarnings);
-  run.final("verify_f2f_bumps", static_cast<double>(m.f2fBumpCount));
+  forEachDesignMetric(out.metrics, [&run](const char* key, const auto& v) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) {
+      run.final(key, static_cast<double>(v));
+    }
+  });
   out.report = run.finish();
 
   std::string path = opt.report.jsonPath;
@@ -203,36 +185,10 @@ void finishFlowRun(FlowOutput& out, const FlowOptions& opt, obs::ScopedRun& run)
 
 void writeDesignMetricsJson(obs::JsonWriter& w, const DesignMetrics& m) {
   w.beginObject();
-  w.kv("flow", std::string_view(m.flow));
-  w.kv("tile", std::string_view(m.tileName));
-  w.kv("fclk_mhz", m.fclkMhz);
-  w.kv("min_period_ns", m.minPeriodNs);
-  w.kv("emean_fj", m.emeanFj);
-  w.kv("power_mw", m.powerMw);
-  w.kv("footprint_mm2", m.footprintMm2);
-  w.kv("logic_cell_area_mm2", m.logicCellAreaMm2);
-  w.kv("total_wirelength_m", m.totalWirelengthM);
-  w.kv("wirelength_logic_die_m", m.wirelengthLogicDieM);
-  w.kv("wirelength_macro_die_m", m.wirelengthMacroDieM);
-  w.kv("f2f_bumps", m.f2fBumps);
-  w.kv("cpin_nf", m.cpinNf);
-  w.kv("cwire_nf", m.cwireNf);
-  w.kv("clock_tree_depth", m.clockTreeDepth);
-  w.kv("clock_skew_ps", m.clockSkewPs);
-  w.kv("crit_path_wl_mm", m.critPathWirelengthMm);
-  w.kv("metal_area_mm2", m.metalAreaMm2);
-  w.kv("overflowed_edges", m.overflowedEdges);
-  w.kv("unrouted_nets", m.unroutedNets);
-  w.kv("verify_violations", m.verifyViolations);
-  w.kv("verify_warnings", m.verifyWarnings);
-  w.kv("verify_f2f_bumps", m.f2fBumpCount);
-  w.kv("legalize_avg_disp_um", m.legalizeAvgDispUm);
-  w.kv("place_hpwl_mm", m.placeHpwlMm);
-  w.kv("place_engine", std::string_view(m.placeEngine));
-  w.kv("place_overflow", m.placeOverflow);
-  w.kv("place_iterations", m.placeIterations);
-  w.kv("cells_resized", m.cellsResized);
-  w.kv("buffers_inserted", m.buffersInserted);
+  forEachDesignMetric(m, [&w](const char* key, const auto& v) {
+    w.key(key);
+    w.value(v);
+  });
   w.endObject();
 }
 
@@ -406,9 +362,6 @@ FlowOptions resolveFlowOptions(const FlowOptions& optIn) {
   if (opt.router.numThreads == 0) opt.router.numThreads = opt.numThreads;
   if (opt.optBase.numThreads == 0) opt.optBase.numThreads = opt.numThreads;
   applyPlacerEnvOverrides(opt.placer);
-  if (opt.ecoRouteFrom.empty()) {
-    if (const char* env = std::getenv("M3D_ECO_ROUTE_FROM")) opt.ecoRouteFrom = env;
-  }
   return opt;
 }
 
@@ -442,7 +395,6 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
   int resumeStage = -1;  // deepest stage restored from cache (-1 = cold).
   if (cache.enabled()) {
     keys = computeStageKeys(out, opt, flags);
-    out.routeCheckpointPath = cache.path(3, kPipelineStageNames[3], keys[3]);
     out.finalCheckpointPath = cache.path(6, kPipelineStageNames[6], keys[6]);
     if (cache.resumeEnabled()) {
       for (int i = 6; i >= 0; --i) {
@@ -526,7 +478,21 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     obs::ScopedPhase phase(kPipelineStageNames[0]);  // place
     if (cache.enabled()) phase.attr("cache_hit", stageRestored(0) ? 1.0 : 0.0);
     if (!stageRestored(0)) {
-    if (!flags.skipGlobalPlace) {
+    if (flags.inheritPlacement) {
+      LegalizerOptions lopt;
+      lopt.partialBlockageResolution = opt.partialBlockageResolution;
+      const LegalizeResult lr = legalize(nl, out.fp, lopt);
+      out.metrics.legalizeAvgDispUm = displayUm(lr.avgDisplacementUm);
+      out.metrics.placeHpwlMm = displayMm(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
+      obs::series("place.hpwl").record(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
+      phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
+      phase.attr("overlap_fix_disp_um", out.metrics.legalizeAvgDispUm);
+      trace << "overlap-fix legalize: avg_disp_um=" << out.metrics.legalizeAvgDispUm
+            << " max_disp_um=" << displayUm(lr.maxDisplacementUm) << " fail=" << lr.failedCells
+            << "\n";
+      M3D_LOG(info) << "place done (overlap-fix): avg_disp_um="
+                    << out.metrics.legalizeAvgDispUm << " legal_fail=" << lr.failedCells;
+    } else {
       seedPlacementByModules(*out.tile, out.fp);
       PlacerOptions popt = opt.placer;
       popt.useExistingPositions = true;
@@ -548,24 +514,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
                     << " hpwl_mm=" << out.metrics.placeHpwlMm
                     << " overflow=" << pr.overflow
                     << " iters=" << pr.iterations << " legal_fail=" << pr.legal.failedCells;
-    } else {
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      const LegalizeResult lr = legalize(nl, out.fp, lopt);
-      out.metrics.legalizeAvgDispUm = displayUm(lr.avgDisplacementUm);
-      out.metrics.placeHpwlMm = displayMm(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
-      obs::series("place.hpwl").record(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
-      phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
-      phase.attr("overlap_fix_disp_um", out.metrics.legalizeAvgDispUm);
-      trace << "overlap-fix legalize: avg_disp_um=" << out.metrics.legalizeAvgDispUm
-            << " max_disp_um=" << displayUm(lr.maxDisplacementUm) << " fail=" << lr.failedCells
-            << "\n";
-      M3D_LOG(info) << "place done (overlap-fix): avg_disp_um="
-                    << out.metrics.legalizeAvgDispUm << " legal_fail=" << lr.failedCells;
-    }
-
-    // Global repeater insertion belongs to the placement stage.
-    if (flags.insertRepeaters) {
+      // Global repeater insertion belongs to the placement stage.
       const NetBufferingResult nb = bufferLongNets(nl, out.fp);
       out.metrics.buffersInserted += nb.buffersInserted;
       obs::counter("place.repeaters_inserted").add(nb.buffersInserted);
@@ -587,9 +536,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
   if (cache.enabled()) phase.attr("cache_hit", stageRestored(1) ? 1.0 : 0.0);
   if (!stageRestored(1)) {
   if (flags.preRouteOpt) {
-    EstimationOptions eopt =
-        makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-    eopt.lengthScale = flags.estimationLengthScale;
+    const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
     EstimatedParasitics provider(eopt);
     out.paras = estimateDesign(nl, eopt);
     const int presized = presizeForLoad(nl, out.paras, provider);

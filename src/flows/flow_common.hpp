@@ -6,7 +6,6 @@
 /// sign-off STA/power), and helpers used by the individual flows.
 
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,9 +100,8 @@ struct FlowOptions {
   F2fViaSpec f2fVia;
 
   /// Incremental ECO routing seed: path of a stage checkpoint (.m3ddb, at
-  /// least the route stage) from a *previous* run of this design. When set
-  /// (the M3D_ECO_ROUTE_FROM environment variable supplies a default), the
-  /// route stage loads that checkpoint, diffs its grid capacities against
+  /// least the route stage) from a *previous* run of this design. When set,
+  /// the route stage loads that checkpoint, diffs its grid capacities against
   /// the current ones, and reroutes only the dirtied nets via
   /// routeDesignEco -- every untouched route is reused byte-identically.
   /// An unreadable or incompatible seed warns and falls back to a full
@@ -132,9 +130,6 @@ struct FlowOptions {
   /// Stripe resolution for partial blockages in S2D/C2D pseudo designs.
   Dbu partialBlockageResolution = umToDbu(8.0);
 
-  /// Log level applied at flow entry (M3D_LOG_LEVEL always wins; nullopt
-  /// keeps the process-wide level untouched).
-  std::optional<obs::LogLevel> logLevel;
   ReportOptions report;
 
   /// Chrome Trace Event JSON output path ("" = no trace unless the
@@ -193,6 +188,46 @@ struct DesignMetrics {
   int buffersInserted = 0;
 };
 
+/// The DesignMetrics field table: calls \p field(jsonKey, member) for every
+/// field, in the order of the metrics JSON object and of the checkpoint's
+/// metrics section. \p M is DesignMetrics or const DesignMetrics; members are
+/// std::string, double, int or std::int64_t. Drives writeDesignMetricsJson,
+/// the run-report finals, the checkpoint codec and JobResult::fromJson, so a
+/// new field is added here once.
+template <typename M, typename F>
+void forEachDesignMetric(M& m, F&& field) {
+  field("flow", m.flow);
+  field("tile", m.tileName);
+  field("fclk_mhz", m.fclkMhz);
+  field("min_period_ns", m.minPeriodNs);
+  field("emean_fj", m.emeanFj);
+  field("power_mw", m.powerMw);
+  field("footprint_mm2", m.footprintMm2);
+  field("logic_cell_area_mm2", m.logicCellAreaMm2);
+  field("total_wirelength_m", m.totalWirelengthM);
+  field("wirelength_logic_die_m", m.wirelengthLogicDieM);
+  field("wirelength_macro_die_m", m.wirelengthMacroDieM);
+  field("f2f_bumps", m.f2fBumps);
+  field("cpin_nf", m.cpinNf);
+  field("cwire_nf", m.cwireNf);
+  field("clock_tree_depth", m.clockTreeDepth);
+  field("clock_skew_ps", m.clockSkewPs);
+  field("crit_path_wl_mm", m.critPathWirelengthMm);
+  field("metal_area_mm2", m.metalAreaMm2);
+  field("overflowed_edges", m.overflowedEdges);
+  field("unrouted_nets", m.unroutedNets);
+  field("verify_violations", m.verifyViolations);
+  field("verify_warnings", m.verifyWarnings);
+  field("verify_f2f_bumps", m.f2fBumpCount);
+  field("legalize_avg_disp_um", m.legalizeAvgDispUm);
+  field("place_hpwl_mm", m.placeHpwlMm);
+  field("place_engine", m.placeEngine);
+  field("place_overflow", m.placeOverflow);
+  field("place_iterations", m.placeIterations);
+  field("cells_resized", m.cellsResized);
+  field("buffers_inserted", m.buffersInserted);
+}
+
 /// Everything a flow produces (kept alive for rendering and inspection).
 struct FlowOutput {
   std::unique_ptr<Library> lib;
@@ -214,11 +249,10 @@ struct FlowOutput {
   /// Stage-cache outcome of this run (0 / "" when the cache was disabled):
   /// number of leading pipeline stages restored from the cache (7 = fully
   /// warm, 3 = place/pre_route_opt/cts prefix — the coalesced-ECO case),
-  /// and the cache paths of the route- and signoff-stage checkpoints this
-  /// run read or wrote (m3d_serve hands routeCheckpointPath to coalesced
-  /// ECO jobs as their routeDesignEco seed).
+  /// and the cache path of the signoff-stage checkpoint this run read or
+  /// wrote (m3d_serve hands it to coalesced ECO jobs as their
+  /// routeDesignEco seed).
   int cacheRestoredStages = 0;
-  std::string routeCheckpointPath;
   std::string finalCheckpointPath;
 };
 
@@ -226,23 +260,18 @@ struct FlowOutput {
 struct PipelineFlags {
   bool preRouteOpt = true;
   bool postRouteOpt = true;
-  /// Skip placement (pseudo flows hand over an already-mapped placement and
-  /// only want legalization + downstream steps).
-  bool skipGlobalPlace = false;
-  /// Run global repeater insertion after placement (pseudo flows do their
-  /// own insertion in the pseudo phase).
-  bool insertRepeaters = true;
-  double estimationParasiticScale = 1.0;
-  double estimationLengthScale = 1.0;
+  /// The pseudo flows hand over a placement mapped from the pseudo design,
+  /// repeaters included: the place stage then only legalizes it instead of
+  /// running global placement and repeater insertion.
+  bool inheritPlacement = false;
 };
 
 /// A flow's effective options: FlowOptions::numThreads fanned into every
-/// stage option still at "auto", plus the M3D_PLACE_ENGINE and
-/// M3D_ECO_ROUTE_FROM environment overrides (an explicit option always
-/// wins). Idempotent. runPnrPipeline resolves its options on entry; a flow
-/// that uses stage options before the pipeline (the pseudo flows' placement)
-/// resolves once up front and hands the result on, so every stage of the
-/// run sees the same knobs.
+/// stage option still at "auto", plus the M3D_PLACE_ENGINE environment
+/// override (an explicit option always wins). Idempotent. runPnrPipeline
+/// resolves its options on entry; a flow that uses stage options before the
+/// pipeline (the pseudo flows' placement) resolves once up front and hands
+/// the result on, so every stage of the run sees the same knobs.
 FlowOptions resolveFlowOptions(const FlowOptions& opt);
 
 /// Runs the common pipeline on out.tile->netlist over out.fp/out.routingBeol
@@ -268,16 +297,17 @@ std::vector<Blockage> compositeBlockages(const std::vector<Rect>& rects, const R
 /// Sum of substrate areas of placed standard cells (excl. macros/fillers).
 std::int64_t logicCellArea(const Netlist& nl);
 
-/// Flow-driver observability bracket. beginFlowRun applies opt.logLevel,
-/// opens the run's root span, and logs the start line; finishFlowRun copies
-/// the final DesignMetrics into the report, stores it on \p out, writes the
-/// JSON file (ReportOptions / M3D_RUN_REPORT_DIR), and logs the summary.
+/// Flow-driver observability bracket. beginFlowRun starts the trace export
+/// (FlowOptions::traceOut / M3D_TRACE_OUT), opens the run's root span, and
+/// logs the start line; finishFlowRun copies the numeric DesignMetrics into
+/// the report's finals, stores it on \p out, writes the JSON file
+/// (ReportOptions / M3D_RUN_REPORT_DIR), and logs the summary.
 obs::ScopedRun beginFlowRun(FlowKind kind, const std::string& tileName,
                             const FlowOptions& opt);
 void finishFlowRun(FlowOutput& out, const FlowOptions& opt, obs::ScopedRun& run);
 
 /// Serializes every DesignMetrics field as one flat JSON object (used by
-/// run reports and the bench BENCH_*.json dumps).
+/// the bench BENCH_*.json dumps and the m3d_serve job results).
 void writeDesignMetricsJson(obs::JsonWriter& w, const DesignMetrics& m);
 
 /// Hierarchical placement seed: puts each logical module's cells near the

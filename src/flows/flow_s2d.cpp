@@ -203,8 +203,7 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& optIn, FlowKi
   // cost optimization; model as a cheap F2F crossing (no bump economy).
   fopt.router.f2fViaCost = opt.s2dF2fPlanningCost;
   PipelineFlags flags;
-  flags.skipGlobalPlace = true;   // placement is inherited from the pseudo design
-  flags.insertRepeaters = false;  // repeaters came from the pseudo design
+  flags.inheritPlacement = true;  // placement and repeaters come from the pseudo design
   flags.preRouteOpt = c2d;        // C2D's post-tier-partitioning optimization
   flags.postRouteOpt = opt.pseudoPostRouteOpt;  // paper flows: false
   runPnrPipeline(out, fopt, flags, trace);

@@ -19,4 +19,8 @@ namespace m3d {
 /// AND2, OR2, AOI21, OAI21, XOR2, XNOR2, MUX2, DFF, plus a FILLER cell.
 Library makeStdCellLib(const TechNode& tech);
 
+/// Buffer master that CTS (leaf level), repeater insertion and the timing
+/// optimizer insert: the X8 drive of the BUF family.
+inline constexpr const char* kBufferCell = "BUF_X8";
+
 }  // namespace m3d

@@ -4,8 +4,8 @@
 /// Minimal JSON emission and parsing -- no external dependency.
 ///
 /// JsonWriter is a streaming writer with correct escaping, comma handling
-/// and optional pretty-printing; it backs the run reports, the JSONL log
-/// sink, and the bench result dumps. parseJson() is a small recursive-
+/// and optional pretty-printing; it backs the run reports, the flow-service
+/// protocol and the bench result dumps. parseJson() is a small recursive-
 /// descent parser used by tests and the report smoke check to round-trip
 /// what the writer produced (it accepts standard JSON: objects, arrays,
 /// strings with the common escapes, numbers, booleans, null).

@@ -2,15 +2,11 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 
-#include "obs/chrome_trace.hpp"
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace m3d::obs {
@@ -20,11 +16,10 @@ namespace {
 std::atomic<int> gLevel{static_cast<int>(LogLevel::kWarn)};
 std::once_flag gEnvOnce;
 
-// Sinks are guarded by one mutex: records from concurrent threads never
+// The sink is guarded by one mutex: records from concurrent threads never
 // interleave mid-line.
 std::mutex gSinkMu;
 std::ostream* gTextSink = &std::cerr;
-std::ofstream gJsonl;
 
 void readEnvLevel() {
   const char* v = std::getenv("M3D_LOG_LEVEL");
@@ -40,13 +35,6 @@ void readEnvLevel() {
                  "(expected trace|debug|info|warn|error|off); keeping '%s'\n",
                  v, logLevelName(static_cast<LogLevel>(gLevel.load(std::memory_order_relaxed))));
   }
-}
-
-/// Milliseconds since the unix epoch (wall clock, for log timestamps).
-std::int64_t wallMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -104,23 +92,9 @@ void setLogTextSink(std::ostream* os) {
   gTextSink = os;
 }
 
-bool openLogJsonl(const std::string& path) {
-  std::lock_guard<std::mutex> lock(gSinkMu);
-  if (gJsonl.is_open()) gJsonl.close();
-  if (path.empty()) return true;
-  gJsonl.open(path, std::ios::app);
-  return gJsonl.is_open();
-}
-
-void closeLogJsonl() {
-  std::lock_guard<std::mutex> lock(gSinkMu);
-  if (gJsonl.is_open()) gJsonl.close();
-}
-
 LogMessage::~LogMessage() {
   const std::string msg = ss_.str();
   const std::string phase = Tracer::local().currentPath();
-  const std::int64_t tMs = wallMs();
 
   std::lock_guard<std::mutex> lock(gSinkMu);
   if (gTextSink != nullptr) {
@@ -128,29 +102,6 @@ LogMessage::~LogMessage() {
     if (!phase.empty()) *gTextSink << " [" << phase << "]";
     *gTextSink << " " << msg << "\n";
     gTextSink->flush();
-  }
-  if (gJsonl.is_open()) {
-    JsonWriter w(gJsonl, /*pretty=*/false);
-    w.beginObject();
-    w.key("t_ms");
-    w.value(tMs);
-    // Monotonic stamp + thread track id: the same clock and tid scheme the
-    // Chrome-trace export uses, so log records correlate with trace events.
-    w.key("t_mono_ns");
-    w.value(monotonicNowNs());
-    w.key("tid");
-    w.value(static_cast<std::int64_t>(threadTrackId()));
-    w.key("level");
-    w.value(logLevelName(level_));
-    if (!phase.empty()) {
-      w.key("phase");
-      w.value(phase);
-    }
-    w.key("msg");
-    w.value(msg);
-    w.endObject();
-    gJsonl << "\n";
-    gJsonl.flush();
   }
 }
 

@@ -8,14 +8,13 @@
 ///
 /// The stream expression on the right-hand side is only evaluated when the
 /// message's level passes the global filter, so logging below the active
-/// level costs one branch. Text records go to a configurable sink (stderr by
-/// default -- flow stdout stays byte-identical to a build without logging);
-/// an optional JSONL sink mirrors every record as one JSON object per line.
+/// level costs one branch. Records go to a configurable text sink (stderr by
+/// default -- flow stdout stays byte-identical to a build without logging).
 ///
 /// The level is resolved in this order:
 ///   1. the M3D_LOG_LEVEL environment variable
 ///      (off|error|warn|info|debug|trace), read once lazily;
-///   2. setLogLevel() / FlowOptions::logLevel via configureLogging();
+///   2. setLogLevel() / configureLogging();
 ///   3. the default, kWarn.
 
 #include <optional>
@@ -58,12 +57,6 @@ void configureLogging(std::optional<LogLevel> requested);
 /// Redirects the human-readable sink (default: stderr). nullptr disables
 /// text output entirely. The pointee must outlive all logging.
 void setLogTextSink(std::ostream* os);
-
-/// Opens (or closes, with an empty path) the JSONL sink: one
-/// {"t_ms":..,"level":..,"phase":..,"msg":..} object per record, appended
-/// to \p path. Returns false if the file cannot be opened.
-bool openLogJsonl(const std::string& path);
-void closeLogJsonl();
 
 /// One in-flight log record; emits on destruction. Use via M3D_LOG.
 class LogMessage {

@@ -4,9 +4,16 @@
 #include <cassert>
 #include <map>
 
+#include "lib/stdcell_factory.hpp"
+
 namespace m3d {
 
 namespace {
+
+/// Maximum sink count before the net gets a buffer tree (synthesis-style
+/// fanout buffering).
+constexpr int kMaxFanout = 6;
+constexpr int kMaxRounds = 6;  ///< recursion bound for very long nets.
 
 /// Splits one net: sinks farther than maxLength from the driver are grouped
 /// by coarse grid cluster; each cluster gets a repeater at its centroid
@@ -22,11 +29,11 @@ std::vector<NetId> splitNet(Netlist& nl, const Floorplan& fp, NetId netId,
 
   const Point drv = nl.pinPosition(net.pins[static_cast<std::size_t>(net.driverIdx)]);
   const bool fanoutSplit =
-      static_cast<int>(net.pins.size()) - 1 > opt.maxFanout;
+      static_cast<int>(net.pins.size()) - 1 > kMaxFanout;
 
   // Cluster sinks that need buffering on a grid of maxLength cells: far
   // sinks always; for over-fanout nets, every sink beyond the first
-  // maxFanout-1 nearest ones.
+  // kMaxFanout-1 nearest ones.
   std::map<std::pair<Dbu, Dbu>, std::vector<NetPin>> clusters;
   if (fanoutSplit) {
     // Keep the closest sinks direct; everything else moves to buffer trees.
@@ -36,7 +43,7 @@ std::vector<NetId> splitNet(Netlist& nl, const Floorplan& fp, NetId netId,
       byDist.push_back({manhattanDistance(drv, nl.pinPosition(net.pins[static_cast<std::size_t>(k)])), k});
     }
     std::sort(byDist.begin(), byDist.end());
-    for (std::size_t i = static_cast<std::size_t>(opt.maxFanout) - 1; i < byDist.size(); ++i) {
+    for (std::size_t i = static_cast<std::size_t>(kMaxFanout) - 1; i < byDist.size(); ++i) {
       const NetPin& p = net.pins[static_cast<std::size_t>(byDist[i].second)];
       const Point pp = nl.pinPosition(p);
       clusters[{pp.x / maxLength, pp.y / maxLength}].push_back(p);
@@ -93,7 +100,7 @@ std::vector<NetId> splitNet(Netlist& nl, const Floorplan& fp, NetId netId,
 NetBufferingResult bufferLongNets(Netlist& nl, const Floorplan& fp,
                                   const NetBufferingOptions& opt) {
   NetBufferingResult result;
-  const CellTypeId bufId = nl.library().findCell(opt.bufferCell);
+  const CellTypeId bufId = nl.library().findCell(kBufferCell);
   assert(bufId != kInvalidCellType);
   const int bufA = *nl.library().cell(bufId).findPin("A");
   const int bufY = *nl.library().cell(bufId).findPin("Y");
@@ -102,7 +109,7 @@ NetBufferingResult bufferLongNets(Netlist& nl, const Floorplan& fp,
   std::vector<NetId> work;
   for (NetId n = 0; n < nl.numNets(); ++n) work.push_back(n);
 
-  for (int round = 0; round < opt.maxRounds && !work.empty(); ++round) {
+  for (int round = 0; round < kMaxRounds && !work.empty(); ++round) {
     std::vector<NetId> next;
     for (NetId n : work) {
       const std::vector<NetId> created =

@@ -16,11 +16,6 @@ struct NetBufferingOptions {
   /// Maximum driver->sink Manhattan length before a repeater is inserted
   /// [DBU].
   Dbu maxLength = umToDbu(100.0);
-  /// Maximum sink count before the net gets a buffer tree (synthesis-style
-  /// fanout buffering).
-  int maxFanout = 6;
-  const char* bufferCell = "BUF_X8";
-  int maxRounds = 6;  ///< recursion bound for very long nets.
 };
 
 struct NetBufferingResult {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "lib/stdcell_factory.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,6 +33,9 @@ void RoutedParasitics::refresh(const Netlist& nl, const std::vector<NetId>& nets
 }
 
 namespace {
+
+/// Wire delay beyond which a critical net stage gets a buffer [s].
+constexpr double kBufferWireDelayThreshold = 40e-12;
 
 /// Nets whose parasitics change when \p inst changes size: every net on an
 /// input pin (pin cap changes the net's load and Elmore).
@@ -92,7 +96,7 @@ OptimizeResult optimizeTiming(Sta& sta, Netlist& nl, std::vector<NetParasitics>&
   OptimizeResult result;
   if (opt.maxPasses <= 0) return result;  // nothing to do: skip the initial probe
   const Library& lib = nl.library();
-  const CellTypeId bufId = lib.findCell(opt.bufferCell);
+  const CellTypeId bufId = lib.findCell(kBufferCell);
   assert(bufId != kInvalidCellType);
   const int bufA = *lib.cell(bufId).findPin("A");
   const int bufY = *lib.cell(bufId).findPin("Y");
@@ -157,7 +161,7 @@ OptimizeResult optimizeTiming(Sta& sta, Netlist& nl, std::vector<NetParasitics>&
             break;
           }
         }
-        if (wireDelay < opt.bufferWireDelayThreshold) continue;
+        if (wireDelay < kBufferWireDelayThreshold) continue;
 
         // Insert a buffer at the midpoint of driver->b and move b (plus any
         // sink within a quarter of the span of b) onto the buffered subnet.

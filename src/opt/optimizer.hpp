@@ -67,9 +67,6 @@ struct OptimizerOptions {
   /// M3D_THREADS env, else hardware_concurrency). Bit-identical results at
   /// any count.
   int numThreads = 0;
-  /// Wire delay beyond which a critical net stage gets a buffer [s].
-  double bufferWireDelayThreshold = 40e-12;
-  const char* bufferCell = "BUF_X8";
   /// Optional veto on in-place resizes: called with the instance and the
   /// candidate master before committing; returning false skips that resize.
   /// Post-route flows install a frozen-placement footprint guard here --

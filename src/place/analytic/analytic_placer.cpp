@@ -15,6 +15,12 @@ namespace m3d::place {
 
 namespace {
 
+constexpr int kMaxIters = 420;  ///< Nesterov iteration cap.
+constexpr int kMinIters = 30;   ///< don't stop on overflow before this.
+/// Extra weight on F2F die-split nets (pins on fixed macro-die instances)
+/// in the WA objective -- the bistratal term of the wirelength model.
+constexpr double kSplitNetWeight = 1.0;
+
 /// splitmix64 (same jitter hash as the B2B engine).
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
@@ -90,7 +96,7 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
       ux[s] = clampX(v, dbuToUm(inst.pos.x));
       uy[s] = clampY(v, dbuToUm(inst.pos.y));
     } else {
-      const std::uint64_t h1 = mix64(opt.seed * 2654435761ULL + static_cast<std::uint64_t>(v));
+      const std::uint64_t h1 = mix64(kPlaceSeed * 2654435761ULL + static_cast<std::uint64_t>(v));
       const std::uint64_t h2 = mix64(h1);
       const double cx = 0.5 * (dieXlo + dieXhi);
       const double cy = 0.5 * (dieYlo + dieYhi);
@@ -98,9 +104,8 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
       uy[s] = clampY(v, cy + (static_cast<double>(h2 % 10000) / 10000.0 - 0.5) * (dieYhi - dieYlo) * 0.5);
     }
   }
-  const AnalyticPlacerOptions& ao = opt.analytic;
-  WirelengthModel wl(nl, varOf, n, opt.clockNetWeight, ao.splitNetWeight);
-  DensityGrid dg(nl, fp, movable, ao.targetDensity, opt.numThreads);
+  WirelengthModel wl(nl, varOf, n, kClockNetWeight, kSplitNetWeight);
+  DensityGrid dg(nl, fp, movable, kTargetDensity, opt.numThreads);
   const double bin = std::max(dg.binW(), dg.binH());
 
   // ePlace filler cells: the Poisson field drives density toward the uniform
@@ -129,7 +134,7 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
   for (int v = n; v < nAll; ++v) {
     const std::size_t s = static_cast<std::size_t>(v);
     const std::uint64_t h1 =
-        mix64(opt.seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(v));
+        mix64(kPlaceSeed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(v));
     const std::uint64_t h2 = mix64(h1);
     ux[s] = clampX(v, dieXlo + (static_cast<double>(h1 % 10000) / 10000.0) * (dieXhi - dieXlo));
     uy[s] = clampY(v, dieYlo + (static_cast<double>(h2 % 10000) / 10000.0) * (dieYhi - dieYlo));
@@ -194,7 +199,7 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
   double bestHpwl = -1.0;
   constexpr std::size_t kPlateauWindow = 10;
   std::vector<double> hpwlWindow;
-  for (int iter = 0; iter < ao.maxIters; ++iter) {
+  for (int iter = 0; iter < kMaxIters; ++iter) {
     iters = iter + 1;
     pvx = vx;
     pvy = vy;
@@ -240,7 +245,7 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
     // Two-sided penalty controller: grow while the target is missed, decay
     // gently once met so wirelength keeps recovering against the softest
     // spreading force that still holds the density at the target.
-    if (overflow > ao.targetOverflow) {
+    if (overflow > kTargetOverflow) {
       lambda *= penaltyGrowth(overflow);
     } else {
       lambda *= 0.95;
@@ -259,14 +264,14 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
     // Converged: overflow at target AND wirelength plateaued — the mean
     // improvement over the trailing window dropped under 0.1%. Stopping on
     // overflow alone would cut healthy trajectories off mid-descent.
-    if (iter + 1 >= ao.minIters && overflow <= ao.targetOverflow &&
+    if (iter + 1 >= kMinIters && overflow <= kTargetOverflow &&
         hpwlWindow.size() > kPlateauWindow) {
       const double past = hpwlWindow[hpwlWindow.size() - 1 - kPlateauWindow];
       if (iterHpwl > past * (1.0 - 0.001 * kPlateauWindow)) break;
     }
     // Divergence guard: nearly spread but wirelength blowing up — stop and
     // let the legalizer take it from here.
-    if (overflow <= 1.5 * ao.targetOverflow && bestHpwl > 0.0 && iterHpwl > 2.0 * bestHpwl) {
+    if (overflow <= 1.5 * kTargetOverflow && bestHpwl > 0.0 && iterHpwl > 2.0 * bestHpwl) {
       M3D_LOG(warn) << "analytic place: wirelength diverging at overflow " << overflow
                     << ", stopping early";
       break;

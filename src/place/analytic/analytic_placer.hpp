@@ -13,6 +13,9 @@
 
 namespace m3d::place {
 
+/// Density overflow the Nesterov loop stops at (once wirelength plateaus).
+inline constexpr double kTargetOverflow = 0.07;
+
 /// Analytic counterpart of globalPlace(); same contract (writes legalized
 /// positions back into \p nl). Called by globalPlace() on engine dispatch —
 /// use that entry point instead of calling this directly.

@@ -37,6 +37,11 @@ namespace {
 /// independent, see parallel.hpp determinism contract).
 constexpr std::int64_t kNetGrain = 256;
 
+constexpr int kPureSolveRounds = 5;         ///< initial B2B reweighting rounds without anchors.
+constexpr double kAnchorWeightInit = 0.01;  ///< first anchor weight (grows geometrically).
+constexpr double kAnchorWeightGrowth = 1.8;
+constexpr int kMinIters = 9;                ///< don't trigger convergence before this.
+
 /// One deferred solver update emitted by the parallel spring build.
 /// b >= 0: addEdge(a, b, w); b < 0: addFixed(a, w, c).
 struct SpringOp {
@@ -226,7 +231,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
       y[static_cast<std::size_t>(v)] = dbuToUm(inst.pos.y);
       continue;
     }
-    const std::uint64_t h1 = mix64(opt.seed * 2654435761ULL + static_cast<std::uint64_t>(v));
+    const std::uint64_t h1 = mix64(kPlaceSeed * 2654435761ULL + static_cast<std::uint64_t>(v));
     const std::uint64_t h2 = mix64(h1);
     x[static_cast<std::size_t>(v)] =
         cxDie + (static_cast<double>(h1 % 10000) / 10000.0 - 0.5) * wDie * 0.5;
@@ -242,7 +247,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   std::vector<double> ax(x);
   std::vector<double> ay(y);
   bool haveAnchors = false;
-  double anchorW = opt.anchorWeightInit;
+  double anchorW = kAnchorWeightInit;
 
   constexpr double kMinLen = 0.5;  // um, avoids singular weights
 
@@ -261,7 +266,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
                        std::vector<SpringOp>& ops) {
       const Net& net = nl.net(netId);
       if (net.pins.size() < 2) return;
-      const double netW = (net.isClock ? opt.clockNetWeight : 1.0);
+      const double netW = (net.isClock ? kClockNetWeight : 1.0);
       pins.clear();
       for (const NetPin& p : net.pins) {
         int var = -1;
@@ -342,7 +347,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   std::vector<Point> bestPos;
   bool bestLegal = false;
   LegalizeResult bestLegalResult;
-  for (int r = 0; r < opt.pureSolveRounds; ++r) {
+  for (int r = 0; r < kPureSolveRounds; ++r) {
     buildAndSolve(true);
     buildAndSolve(false);
   }
@@ -387,7 +392,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
       ay[static_cast<std::size_t>(v)] = dbuToUm(inst.pos.y);
     }
     haveAnchors = true;
-    anchorW *= opt.anchorWeightGrowth;
+    anchorW *= kAnchorWeightGrowth;
 
     const double hpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
     it.attr("hpwl_um", hpwlUm);
@@ -405,7 +410,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
         bestPos[static_cast<std::size_t>(v)] = nl.instance(movable[static_cast<std::size_t>(v)]).pos;
       }
     }
-    if (iter + 1 >= opt.minIters && prevHpwlUm > 0.0 &&
+    if (iter + 1 >= kMinIters && prevHpwlUm > 0.0 &&
         std::abs(prevHpwlUm - hpwlUm) < 0.005 * prevHpwlUm && result.legal.success) {
       break;
     }
@@ -421,7 +426,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   result.hpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
   // Engine-neutral density overflow so BENCH_hpwl_ablation compares B2B and
   // analytic results on the same scale.
-  result.overflow = place::densityOverflow(nl, fp, opt.analytic.targetDensity, opt.numThreads);
+  result.overflow = place::densityOverflow(nl, fp, kTargetDensity, opt.numThreads);
   result.success = result.legal.success;
   return result;
 }

@@ -27,29 +27,18 @@ const char* placeEngineName(PlaceEngine e);
 /// unknown name.
 bool parsePlaceEngine(const std::string& name, PlaceEngine& out);
 
-/// Knobs of the analytic engine. The schedules (gamma from bin size and
-/// overflow, penalty growth from overflow) are fixed-shape; these expose the
-/// levers that matter for QoR and determinism-sensitive caching.
-struct AnalyticPlacerOptions {
-  int maxIters = 420;           ///< Nesterov iteration cap.
-  int minIters = 30;            ///< don't stop on overflow before this.
-  double targetOverflow = 0.07; ///< stop when density overflow drops below.
-  double targetDensity = 0.8;  ///< bin capacity derate (utilization target).
-  /// Extra weight on F2F die-split nets (pins on fixed macro-die instances)
-  /// in the WA objective — the bistratal term of the wirelength model.
-  double splitNetWeight = 1.0;
-};
+/// Fixed settings both global-place engines share.
+/// Objective weight of clock nets (the clock tree is built after placement).
+inline constexpr double kClockNetWeight = 0.1;
+/// Seed of the deterministic initial jitter.
+inline constexpr std::uint64_t kPlaceSeed = 1;
+/// Bin capacity derate (utilization target) of the analytic engine's density
+/// model and of the engine-neutral PlaceResult::overflow.
+inline constexpr double kTargetDensity = 0.8;
 
 struct PlacerOptions {
   PlaceEngine engine = PlaceEngine::kB2B;
-  AnalyticPlacerOptions analytic;
-  int maxIters = 12;              ///< solve/legalize alternations.
-  int pureSolveRounds = 5;        ///< initial B2B reweighting rounds without anchors.
-  double anchorWeightInit = 0.01; ///< first anchor weight (grows geometrically).
-  double anchorWeightGrowth = 1.8;
-  double clockNetWeight = 0.1;    ///< down-weight of clock nets in the objective.
-  int minIters = 9;               ///< don't trigger convergence before this.
-  std::uint64_t seed = 1;         ///< jitter seed for the initial spread.
+  int maxIters = 12;              ///< B2B solve/legalize alternations.
   /// When true, current instance positions seed the solver (hierarchical /
   /// region hints from the caller) instead of random jitter.
   bool useExistingPositions = false;

@@ -6,9 +6,11 @@
 
 namespace m3d {
 
+constexpr double kViaUtilization = 0.50;  ///< usable fraction of via sites.
+
 RouteGrid::RouteGrid(const Netlist& nl, const Rect& die, const Beol& beol,
                      const RouteGridOptions& opt)
-    : beol_(&beol), opt_(opt), map_(die, opt.gcellSize) {
+    : beol_(&beol), opt_(opt), map_(die, kGcellSize) {
   nx_ = map_.nx();
   ny_ = map_.ny();
   nl_ = beol.numMetals();
@@ -24,7 +26,7 @@ RouteGrid::RouteGrid(const Netlist& nl, const Rect& die, const Beol& beol,
     const MetalLayer& m = beol.metal(l);
     const double util = (l == 0) ? opt_.m1Utilization : opt_.trackUtilization;
     const int tracks = static_cast<int>(
-        static_cast<double>(opt_.gcellSize) / static_cast<double>(m.pitch) * util);
+        static_cast<double>(kGcellSize) / static_cast<double>(m.pitch) * util);
     const bool horiz = m.dir == LayerDir::kHorizontal;
     for (int y = 0; y < ny_; ++y) {
       for (int x = 0; x < nx_; ++x) {
@@ -36,8 +38,8 @@ RouteGrid::RouteGrid(const Netlist& nl, const Rect& die, const Beol& beol,
   }
   for (int l = 0; l + 1 < nl_; ++l) {
     const CutLayer& c = beol.cut(l);
-    const double perSide = static_cast<double>(opt_.gcellSize) / static_cast<double>(c.pitch);
-    const int sites = static_cast<int>(perSide * perSide * opt_.viaUtilization);
+    const double perSide = static_cast<double>(kGcellSize) / static_cast<double>(c.pitch);
+    const int sites = static_cast<int>(perSide * perSide * kViaUtilization);
     for (int y = 0; y < ny_; ++y) {
       for (int x = 0; x < nx_; ++x) {
         viaCap_[static_cast<std::size_t>(viaEdgeId(x, y, l))] =

@@ -25,10 +25,11 @@
 
 namespace m3d {
 
+/// GCell edge length of every routing grid.
+inline constexpr Dbu kGcellSize = umToDbu(4.0);
+
 struct RouteGridOptions {
-  Dbu gcellSize = umToDbu(4.0);
   double trackUtilization = 0.80;  ///< usable fraction of wire tracks.
-  double viaUtilization = 0.50;    ///< usable fraction of via sites.
   /// Extra derate on M1: most of its tracks serve pin access and
   /// intra-cell routing, as in commercial global-router capacity models.
   double m1Utilization = 0.30;
@@ -48,7 +49,7 @@ class RouteGrid {
   int numNodes() const { return nx_ * ny_ * nl_; }
   const Beol& beol() const { return *beol_; }
   const GridMapping& mapping() const { return map_; }
-  double gcellUm() const { return dbuToUm(opt_.gcellSize); }
+  double gcellUm() const { return dbuToUm(kGcellSize); }
 
   int nodeId(int x, int y, int layer) const { return (layer * ny_ + y) * nx_ + x; }
   int nodeX(int id) const { return id % nx_; }

@@ -26,6 +26,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Negotiated-congestion costs (gcell units): base cost of a regular via,
+/// history cost added per unit of overflow each round, and the present-
+/// congestion weight, multiplied by the growth factor every rip-up round.
+constexpr double kViaCost = 2.0;
+constexpr double kHistoryWeight = 0.4;
+constexpr double kPresentWeightInit = 1.0;
+constexpr double kPresentWeightGrowth = 2.0;
+
 /// Edges per cost-cache rebuild chunk (pure function of the edge range;
 /// thread-count independent, see parallel.hpp determinism contract).
 constexpr std::int64_t kCostGrain = 8192;
@@ -214,15 +222,15 @@ class Router {
     wireHist_.assign(wireUse_.size(), 0.0f);
     viaHist_.assign(viaUse_.size(), 0.0f);
     scratch_.resize(static_cast<std::size_t>(par::maxSlots()));
-    presWeight_ = opt.presentWeightInit;
+    presWeight_ = kPresentWeightInit;
     threads_ = par::resolveThreads(opt.numThreads);
     batchSize_ = std::max(1, opt.batchSize);
     // Admissible via heuristic: a layer step can cross any cut, so the
     // estimate must use the cheapest per-cut base cost (an F2F cut may be
     // configured cheaper than a regular one).
-    minViaBase_ = opt_.viaCost;
+    minViaBase_ = kViaCost;
     for (int cut = 0; cut + 1 < grid_.numLayers(); ++cut) {
-      if (grid_.viaIsF2f(cut)) minViaBase_ = std::min(opt_.viaCost, opt_.f2fViaCost);
+      if (grid_.viaIsF2f(cut)) minViaBase_ = std::min(kViaCost, opt_.f2fViaCost);
     }
     // Flat per-layer direction table so the pop loop avoids chasing the
     // BEOL metal-stack pointers on every expansion.
@@ -481,7 +489,7 @@ class Router {
       // Re-sort each rip-up round: the scan over order_ already yields
       // route order, but the contract is explicit, not incidental.
       sortNets(toRoute);
-      presWeight_ *= opt_.presentWeightGrowth;
+      presWeight_ *= kPresentWeightGrowth;
     }
   }
 
@@ -549,7 +557,7 @@ class Router {
     if (cap == 0) return kInf;
     const int use = viaUse_[static_cast<std::size_t>(v)];
     const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
-    const double base = grid_.viaIsF2f(cut) ? opt_.f2fViaCost : opt_.viaCost;
+    const double base = grid_.viaIsF2f(cut) ? opt_.f2fViaCost : kViaCost;
     return base * (1.0 + static_cast<double>(viaHist_[static_cast<std::size_t>(v)])) * pres;
   }
 
@@ -629,7 +637,7 @@ class Router {
     for (std::size_t e = 0; e < wireUse_.size(); ++e) {
       const int over = static_cast<int>(wireUse_[e]) - static_cast<int>(grid_.wireCap(e));
       if (over > 0) {
-        wireHist_[e] += static_cast<float>(opt_.historyWeight * over);
+        wireHist_[e] += static_cast<float>(kHistoryWeight * over);
         ++t.overflowedEdges;
         t.totalOverflow += over;
       }
@@ -637,7 +645,7 @@ class Router {
     for (std::size_t v = 0; v < viaUse_.size(); ++v) {
       const int over = static_cast<int>(viaUse_[v]) - static_cast<int>(grid_.viaCap(v));
       if (over > 0) {
-        viaHist_[v] += static_cast<float>(opt_.historyWeight * over);
+        viaHist_[v] += static_cast<float>(kHistoryWeight * over);
         ++t.overflowedEdges;
         t.totalOverflow += over;
       }

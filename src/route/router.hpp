@@ -33,11 +33,8 @@ struct NetRoute {
 
 struct RouterOptions {
   int maxIterations = 5;         ///< rip-up & reroute rounds.
-  double viaCost = 2.0;          ///< base cost of a regular via (gcell units).
-  double f2fViaCost = 3.0;       ///< base cost of an F2F via.
-  double historyWeight = 0.4;
-  double presentWeightInit = 1.0;
-  double presentWeightGrowth = 2.0;
+  /// Base cost of an F2F via (gcell units; a regular via costs 2).
+  double f2fViaCost = 3.0;
   /// Threads for the per-batch net search (0 = auto: M3D_THREADS env, else
   /// hardware_concurrency). Results are bit-identical at any thread count.
   int numThreads = 0;

@@ -10,8 +10,9 @@
 /// completed, the others inherit two accelerators when dispatched:
 ///   - the shared stage-cache place/pre_route_opt/cts prefix is warm (the
 ///     flow replays it from disk instead of recomputing), and
-///   - ECO members receive the *base flow job's* route-stage checkpoint as
-///     their routeDesignEco seed, so only pitch-dirtied nets reroute.
+///   - ECO members receive the *base flow job's* signoff-stage checkpoint
+///     (JobResult::finalCheckpoint, which holds its routes) as their
+///     routeDesignEco seed, so only pitch-dirtied nets reroute.
 /// Serializing a batch trades a little parallelism for those hits: N pitch
 /// ECOs against one base design cost one cold prefix + N cheap replays
 /// instead of N cold prefixes racing to publish the same checkpoints.
@@ -80,7 +81,7 @@ class JobQueue {
   std::shared_ptr<Job> dequeue();
 
   /// Reports a dequeued job's outcome. \p result is consulted (and the
-  /// job's batch marked warm, its route checkpoint recorded as the ECO
+  /// job's batch marked warm, its signoff checkpoint recorded as the ECO
   /// seed) only when \p ok; otherwise \p error is stored and the job is
   /// kFailed. Wakes waitJob waiters.
   void complete(std::uint64_t jobId, bool ok, const JobResult& result,
@@ -110,7 +111,7 @@ class JobQueue {
   struct Batch {
     int runningMembers = 0;       ///< 0 or 1 (batches are serialized).
     bool warm = false;            ///< some member completed successfully.
-    std::string ecoSeedPath;      ///< base kFlow job's route checkpoint.
+    std::string ecoSeedPath;      ///< base kFlow job's signoff checkpoint.
   };
 
   /// Picks the best dispatchable queued job under mu_ (highest priority,

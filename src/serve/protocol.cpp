@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include "db/hash.hpp"
 
@@ -9,43 +10,24 @@ namespace m3d::serve {
 
 namespace {
 
-/// Lenient typed field readers: absent keys keep the caller's default,
-/// wrong-typed keys fail with a diagnostic naming the key. Unknown keys are
-/// ignored so older clients can talk to newer daemons.
-bool readInt(const obs::JsonValue& v, const char* key, int* dst, std::string* err) {
+/// Lenient typed field readers, overloaded on the destination type: absent
+/// keys keep the caller's default, wrong-typed keys fail with a diagnostic
+/// naming the key. Unknown keys are ignored so older clients can talk to
+/// newer daemons.
+template <typename T>
+  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+bool readField(const obs::JsonValue& v, const char* key, T* dst, std::string* err) {
   const obs::JsonValue* f = v.find(key);
   if (f == nullptr) return true;
   if (!f->isNumber()) {
     if (err != nullptr) *err = std::string(key) + " must be a number";
     return false;
   }
-  *dst = static_cast<int>(f->number);
+  *dst = static_cast<T>(f->number);
   return true;
 }
 
-bool readDouble(const obs::JsonValue& v, const char* key, double* dst, std::string* err) {
-  const obs::JsonValue* f = v.find(key);
-  if (f == nullptr) return true;
-  if (!f->isNumber()) {
-    if (err != nullptr) *err = std::string(key) + " must be a number";
-    return false;
-  }
-  *dst = f->number;
-  return true;
-}
-
-bool readI64(const obs::JsonValue& v, const char* key, std::int64_t* dst, std::string* err) {
-  const obs::JsonValue* f = v.find(key);
-  if (f == nullptr) return true;
-  if (!f->isNumber()) {
-    if (err != nullptr) *err = std::string(key) + " must be a number";
-    return false;
-  }
-  *dst = static_cast<std::int64_t>(f->number);
-  return true;
-}
-
-bool readBool(const obs::JsonValue& v, const char* key, bool* dst, std::string* err) {
+bool readField(const obs::JsonValue& v, const char* key, bool* dst, std::string* err) {
   const obs::JsonValue* f = v.find(key);
   if (f == nullptr) return true;
   if (f->type != obs::JsonValue::Type::kBool) {
@@ -56,7 +38,7 @@ bool readBool(const obs::JsonValue& v, const char* key, bool* dst, std::string* 
   return true;
 }
 
-bool readString(const obs::JsonValue& v, const char* key, std::string* dst, std::string* err) {
+bool readField(const obs::JsonValue& v, const char* key, std::string* dst, std::string* err) {
   const obs::JsonValue* f = v.find(key);
   if (f == nullptr) return true;
   if (!f->isString()) {
@@ -163,7 +145,7 @@ bool JobSpec::fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err) 
   }
   JobSpec spec;
   std::string kind = "flow";
-  if (!readString(v, "kind", &kind, err)) return false;
+  if (!readField(v, "kind", &kind, err)) return false;
   if (kind == "flow") {
     spec.kind = JobKind::kFlow;
   } else if (kind == "eco") {
@@ -172,19 +154,19 @@ bool JobSpec::fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err) 
     if (err != nullptr) *err = "unknown job kind '" + kind + "'";
     return false;
   }
-  if (!readString(v, "flow", &spec.flow, err)) return false;
-  if (!readString(v, "tile", &spec.tile, err)) return false;
-  if (!readInt(v, "shrink", &spec.shrink, err)) return false;
-  if (!readInt(v, "threads", &spec.threads, err)) return false;
-  if (!readInt(v, "priority", &spec.priority, err)) return false;
-  if (!readInt(v, "max_freq_rounds", &spec.maxFreqRounds, err)) return false;
-  if (!readInt(v, "opt_max_passes", &spec.optMaxPasses, err)) return false;
-  if (!readBool(v, "signoff", &spec.signoff, err)) return false;
-  if (!readBool(v, "resume", &spec.resume, err)) return false;
-  if (!readInt(v, "macro_die_metals", &spec.macroDieMetals, err)) return false;
-  if (!readDouble(v, "f2f_pitch_scale", &spec.f2fPitchScale, err)) return false;
-  if (!readString(v, "place_engine", &spec.placeEngine, err)) return false;
-  if (!readString(v, "label", &spec.label, err)) return false;
+  if (!readField(v, "flow", &spec.flow, err)) return false;
+  if (!readField(v, "tile", &spec.tile, err)) return false;
+  if (!readField(v, "shrink", &spec.shrink, err)) return false;
+  if (!readField(v, "threads", &spec.threads, err)) return false;
+  if (!readField(v, "priority", &spec.priority, err)) return false;
+  if (!readField(v, "max_freq_rounds", &spec.maxFreqRounds, err)) return false;
+  if (!readField(v, "opt_max_passes", &spec.optMaxPasses, err)) return false;
+  if (!readField(v, "signoff", &spec.signoff, err)) return false;
+  if (!readField(v, "resume", &spec.resume, err)) return false;
+  if (!readField(v, "macro_die_metals", &spec.macroDieMetals, err)) return false;
+  if (!readField(v, "f2f_pitch_scale", &spec.f2fPitchScale, err)) return false;
+  if (!readField(v, "place_engine", &spec.placeEngine, err)) return false;
+  if (!readField(v, "label", &spec.label, err)) return false;
   const std::string invalid = spec.validate();
   if (!invalid.empty()) {
     if (err != nullptr) *err = invalid;
@@ -216,51 +198,25 @@ bool JobResult::fromJson(const obs::JsonValue& v, JobResult* out, std::string* e
   }
   JobResult r;
   if (const obs::JsonValue* m = v.find("metrics"); m != nullptr && m->isObject()) {
-    DesignMetrics& d = r.metrics;
-    if (!readString(*m, "flow", &d.flow, err)) return false;
-    if (!readString(*m, "tile", &d.tileName, err)) return false;
-    if (!readDouble(*m, "fclk_mhz", &d.fclkMhz, err)) return false;
-    if (!readDouble(*m, "min_period_ns", &d.minPeriodNs, err)) return false;
-    if (!readDouble(*m, "emean_fj", &d.emeanFj, err)) return false;
-    if (!readDouble(*m, "power_mw", &d.powerMw, err)) return false;
-    if (!readDouble(*m, "footprint_mm2", &d.footprintMm2, err)) return false;
-    if (!readDouble(*m, "logic_cell_area_mm2", &d.logicCellAreaMm2, err)) return false;
-    if (!readDouble(*m, "total_wirelength_m", &d.totalWirelengthM, err)) return false;
-    if (!readDouble(*m, "wirelength_logic_die_m", &d.wirelengthLogicDieM, err)) return false;
-    if (!readDouble(*m, "wirelength_macro_die_m", &d.wirelengthMacroDieM, err)) return false;
-    if (!readI64(*m, "f2f_bumps", &d.f2fBumps, err)) return false;
-    if (!readDouble(*m, "cpin_nf", &d.cpinNf, err)) return false;
-    if (!readDouble(*m, "cwire_nf", &d.cwireNf, err)) return false;
-    if (!readInt(*m, "clock_tree_depth", &d.clockTreeDepth, err)) return false;
-    if (!readDouble(*m, "clock_skew_ps", &d.clockSkewPs, err)) return false;
-    if (!readDouble(*m, "crit_path_wl_mm", &d.critPathWirelengthMm, err)) return false;
-    if (!readDouble(*m, "metal_area_mm2", &d.metalAreaMm2, err)) return false;
-    if (!readInt(*m, "overflowed_edges", &d.overflowedEdges, err)) return false;
-    if (!readInt(*m, "unrouted_nets", &d.unroutedNets, err)) return false;
-    if (!readInt(*m, "verify_violations", &d.verifyViolations, err)) return false;
-    if (!readInt(*m, "verify_warnings", &d.verifyWarnings, err)) return false;
-    if (!readI64(*m, "verify_f2f_bumps", &d.f2fBumpCount, err)) return false;
-    if (!readDouble(*m, "legalize_avg_disp_um", &d.legalizeAvgDispUm, err)) return false;
-    if (!readDouble(*m, "place_hpwl_mm", &d.placeHpwlMm, err)) return false;
-    if (!readString(*m, "place_engine", &d.placeEngine, err)) return false;
-    if (!readDouble(*m, "place_overflow", &d.placeOverflow, err)) return false;
-    if (!readInt(*m, "place_iterations", &d.placeIterations, err)) return false;
-    if (!readInt(*m, "cells_resized", &d.cellsResized, err)) return false;
-    if (!readInt(*m, "buffers_inserted", &d.buffersInserted, err)) return false;
+    bool ok = true;
+    forEachDesignMetric(r.metrics, [&](const char* key, auto& field) {
+      ok = ok && readField(*m, key, &field, err);
+    });
+    if (!ok) return false;
   }
-  if (!readInt(v, "cache_prefix_stages", &r.cachePrefixStages, err)) return false;
-  if (!readI64(v, "eco_ripped", &r.ecoRipped, err)) return false;
-  if (!readI64(v, "eco_reused", &r.ecoReused, err)) return false;
-  if (!readBool(v, "coalesced", &r.coalesced, err)) return false;
+  if (!readField(v, "cache_prefix_stages", &r.cachePrefixStages, err)) return false;
+  if (!readField(v, "eco_ripped", &r.ecoRipped, err)) return false;
+  if (!readField(v, "eco_reused", &r.ecoReused, err)) return false;
+  if (!readField(v, "coalesced", &r.coalesced, err)) return false;
   std::string hex;
-  if (!readString(v, "artifact_hash", &hex, err)) return false;
+  if (!readField(v, "artifact_hash", &hex, err)) return false;
   if (!hex.empty() && !hexToHash(hex, &r.artifactHash)) {
     if (err != nullptr) *err = "artifact_hash is not a 64-bit hex string";
     return false;
   }
-  if (!readString(v, "artifact_source", &r.artifactSource, err)) return false;
-  if (!readDouble(v, "wall_ms", &r.wallMs, err)) return false;
-  if (!readString(v, "final_checkpoint", &r.finalCheckpoint, err)) return false;
+  if (!readField(v, "artifact_source", &r.artifactSource, err)) return false;
+  if (!readField(v, "wall_ms", &r.wallMs, err)) return false;
+  if (!readField(v, "final_checkpoint", &r.finalCheckpoint, err)) return false;
   *out = r;
   return true;
 }

@@ -21,7 +21,7 @@
 /// reproducible from its spec alone. ECO jobs (kind "eco") perturb a base
 /// design (today: the F2F bump-pitch knob); jobs sharing a baseKey() are
 /// scheduled back-to-back so they share place/pre_route_opt/cts stage-cache
-/// prefixes and the batch leader's route checkpoint seeds routeDesignEco
+/// prefixes and the base flow job's signoff checkpoint seeds routeDesignEco
 /// for the members (coalescing).
 ///
 /// 64-bit hashes cross the wire as 16-digit hex strings: JSON numbers are

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <functional>
@@ -47,23 +48,31 @@ bool sendAll(int fd, const std::string& data) {
   return true;
 }
 
+/// Longest request line accepted. Job specs are well under 1 KB; the cap
+/// keeps a peer that never sends '\n' from growing the daemon without bound.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
+enum class RecvStatus { kLine, kClosed, kTooLong };
+
 /// Extracts the next '\n'-terminated line from \p buf, reading more from
-/// \p fd as needed. Returns false on EOF/error with no complete line left.
-bool recvLine(int fd, std::string& buf, std::string* line) {
+/// \p fd as needed. kClosed on EOF/error with no complete line left;
+/// kTooLong once the pending line exceeds kMaxRequestLineBytes.
+RecvStatus recvLine(int fd, std::string& buf, std::string* line) {
   for (;;) {
     const std::size_t nl = buf.find('\n');
-    if (nl != std::string::npos) {
+    if (nl != std::string::npos && nl <= kMaxRequestLineBytes) {
       *line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
-      return true;
+      return RecvStatus::kLine;
     }
+    if (buf.size() > kMaxRequestLineBytes) return RecvStatus::kTooLong;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return RecvStatus::kClosed;
     }
-    if (n == 0) return false;
+    if (n == 0) return RecvStatus::kClosed;
     buf.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -214,6 +223,8 @@ int Server::wait() {
     for (std::thread& t : conns) {
       if (t.joinable()) t.join();
     }
+    std::lock_guard<std::mutex> lock(connMu_);
+    finishedConns_.clear();
   }
   if (listenFd_ >= 0) {
     ::close(listenFd_);
@@ -280,6 +291,16 @@ void Server::acceptLoop() {
       ::close(fd);
       break;
     }
+    // Join the handlers that have returned since the last accept, so the
+    // daemon holds one thread (and its stack) per open connection rather
+    // than one per connection ever served.
+    for (const std::thread::id id : finishedConns_) {
+      const auto it = std::find_if(connThreads_.begin(), connThreads_.end(),
+                                   [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      connThreads_.erase(it);
+    }
+    finishedConns_.clear();
     connFds_.push_back(fd);
     connThreads_.emplace_back([this, fd] { handleConnection(fd); });
   }
@@ -291,7 +312,14 @@ void Server::handleConnection(int fd) {
   std::string buf;
   std::string line;
   while (!stop_.load() || !buf.empty()) {
-    if (!recvLine(fd, buf, &line)) break;
+    const RecvStatus rs = recvLine(fd, buf, &line);
+    if (rs == RecvStatus::kTooLong) {
+      sendAll(fd, encodeError("request line exceeds " +
+                              std::to_string(kMaxRequestLineBytes) + " bytes") +
+                      "\n");
+      break;
+    }
+    if (rs == RecvStatus::kClosed) break;
     if (line.empty()) continue;
     std::string err;
     const auto req = obs::parseJson(line, &err);
@@ -308,12 +336,8 @@ void Server::handleConnection(int fd) {
   }
   ::close(fd);
   std::lock_guard<std::mutex> lock(connMu_);
-  for (std::size_t i = 0; i < connFds_.size(); ++i) {
-    if (connFds_[i] == fd) {
-      connFds_.erase(connFds_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
+  connFds_.erase(std::find(connFds_.begin(), connFds_.end(), fd));
+  finishedConns_.push_back(std::this_thread::get_id());
 #endif
 }
 

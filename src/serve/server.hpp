@@ -13,6 +13,8 @@
 ///     aggregate ScopedRun is pinned to that thread's tracer).
 ///   - each accepted connection gets its own handler thread; requests on
 ///     one connection are processed in order, connections are independent.
+///     A request line over 1 MiB gets an error reply and its connection is
+///     closed. Finished handlers are joined at the next accept.
 ///   - each executor claims a named trace track per job ("job-<id>") and
 ///     pins itself to it before running the flow, so a traced server shows
 ///     one span track per job.
@@ -98,6 +100,8 @@ class Server {
   std::mutex connMu_;
   std::vector<int> connFds_;                ///< open connection sockets.
   std::vector<std::thread> connThreads_;
+  /// Handlers that have returned; acceptLoop joins them on its next accept.
+  std::vector<std::thread::id> finishedConns_;
 
   std::optional<obs::ScopedRun> run_;       ///< aggregate report bracket.
   std::atomic<std::int64_t> coalescedPrefixStages_{0};

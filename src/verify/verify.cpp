@@ -149,15 +149,13 @@ VerifyReport verifyDesign(const Netlist& nl, const Floorplan& fp, const RouteGri
   for (const Violation& v : rep.violations) {
     (severityOf(v.kind) == Severity::kError ? rep.errors : rep.warnings) += 1;
   }
-  if (opt.maxViolationsPerKind >= 0) {
-    std::map<ViolationKind, int> perKind;
-    std::vector<Violation> kept;
-    kept.reserve(rep.violations.size());
-    for (Violation& v : rep.violations) {
-      if (perKind[v.kind]++ < opt.maxViolationsPerKind) kept.push_back(std::move(v));
-    }
-    rep.violations = std::move(kept);
+  std::map<ViolationKind, int> perKind;
+  std::vector<Violation> kept;
+  kept.reserve(rep.violations.size());
+  for (Violation& v : rep.violations) {
+    if (perKind[v.kind]++ < kMaxViolationsPerKind) kept.push_back(std::move(v));
   }
+  rep.violations = std::move(kept);
 
   obs::counter("verify.errors").add(rep.errors);
   obs::counter("verify.warnings").add(rep.warnings);

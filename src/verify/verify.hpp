@@ -117,15 +117,16 @@ struct VerifyOptions {
   /// Threads (0 = auto: M3D_THREADS env, else hardware_concurrency).
   /// Results are bit-identical at any count.
   int numThreads = 0;
-  /// Stored-violation cap per kind (full counts are always kept; the list
-  /// is truncated deterministically in emission order).
-  int maxViolationsPerKind = 1000;
 };
+
+/// Stored-violation cap per kind (full counts are always kept; the list is
+/// truncated deterministically in emission order).
+inline constexpr int kMaxViolationsPerKind = 1000;
 
 struct VerifyReport {
   /// Deterministic order: family order (DRC, connectivity, placement, F2F),
   /// fixed scan order within each family. Truncated per kind at
-  /// VerifyOptions::maxViolationsPerKind; errors/warnings count everything.
+  /// kMaxViolationsPerKind; errors/warnings count everything.
   std::vector<Violation> violations;
   std::int64_t errors = 0;
   std::int64_t warnings = 0;

@@ -3,11 +3,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -583,6 +586,118 @@ TEST(FlowDbCache, StandaloneCheckpointLoadReconstructsTheRun) {
   FlowOutput corrupt;
   EXPECT_EQ(loadFlowCheckpoint(signoffPath, corrupt).error, db::DbError::kHashMismatch);
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Stage-key sensitivity (fast; DbStageKeys, label db): computeStageKeys on
+// the tiny tile's Macro-3D pipeline entry state, no flow run.
+
+/// One perturbation of a stage-key input and the stage that first reads it.
+struct KeyInput {
+  const char* name;
+  int stage;
+  std::function<void(FlowOutput&, FlowOptions&, PipelineFlags&)> perturb;
+};
+
+KeyInput onOpt(const char* name, int stage, std::function<void(FlowOptions&)> f) {
+  return {name, stage, [f](FlowOutput&, FlowOptions& o, PipelineFlags&) { f(o); }};
+}
+
+KeyInput onFlags(const char* name, int stage, std::function<void(PipelineFlags&)> f) {
+  return {name, stage, [f](FlowOutput&, FlowOptions&, PipelineFlags& fl) { f(fl); }};
+}
+
+KeyInput onState(const char* name, int stage, std::function<void(FlowOutput&, FlowOptions&)> f) {
+  return {name, stage, [f](FlowOutput& out, FlowOptions& o, PipelineFlags&) { f(out, o); }};
+}
+
+std::array<std::uint64_t, 7> stageKeys(const KeyInput* in = nullptr) {
+  FlowOptions opt = dbTinyOptions();
+  PipelineFlags flags;
+  std::ostringstream trace;
+  FlowOutput out = macro3dEntryState(dbTinyConfig(), opt, trace);
+  if (in != nullptr) in->perturb(out, opt, flags);
+  return computeStageKeys(out, opt, flags);
+}
+
+// Every value the keys still hash, changed one at a time: the first key
+// that moves is the stage that reads the value, and every later key moves
+// with it (the chain), so a cached prefix is never reused past its inputs.
+TEST(DbStageKeys, EachHashedValueReKeysItsStageAndEverythingAfter) {
+  const std::array<std::uint64_t, 7> base = stageKeys();
+  EXPECT_EQ(stageKeys(), base);  // deterministic
+  const std::vector<KeyInput> inputs = {
+      onState("floorplan die", 0, [](FlowOutput& out, FlowOptions&) { out.fp.die.xhi += 1000; }),
+      onFlags("inheritPlacement", 0, [](PipelineFlags& f) { f.inheritPlacement = true; }),
+      onOpt("partialBlockageResolution", 0,
+            [](FlowOptions& o) { o.partialBlockageResolution *= 2; }),
+      onOpt("placer.engine", 0, [](FlowOptions& o) { o.placer.engine = PlaceEngine::kAnalytic; }),
+      onOpt("placer.maxIters", 0, [](FlowOptions& o) { o.placer.maxIters += 1; }),
+      onOpt("placer.useExistingPositions", 0,
+            [](FlowOptions& o) { o.placer.useExistingPositions = true; }),
+      onOpt("placer.legalizer.partialBlockageResolution", 0,
+            [](FlowOptions& o) { o.placer.legalizer.partialBlockageResolution *= 2; }),
+      onOpt("placer.legalizer.rowSearchWindow", 0,
+            [](FlowOptions& o) { o.placer.legalizer.rowSearchWindow += 1; }),
+      onOpt("placer.legalizer.cellWidthScale", 0,
+            [](FlowOptions& o) { o.placer.legalizer.cellWidthScale = 1.5; }),
+      onFlags("preRouteOpt", 1, [](PipelineFlags& f) { f.preRouteOpt = false; }),
+      onOpt("maxPerformance", 1, [](FlowOptions& o) { o.maxPerformance = false; }),
+      onOpt("targetPeriodNs", 1, [](FlowOptions& o) { o.targetPeriodNs += 0.5; }),
+      onOpt("maxFreqRounds", 1, [](FlowOptions& o) { o.maxFreqRounds += 1; }),
+      onOpt("optBase.targetPeriod", 1, [](FlowOptions& o) { o.optBase.targetPeriod *= 2; }),
+      onOpt("optBase.maxPasses", 1, [](FlowOptions& o) { o.optBase.maxPasses += 1; }),
+      onOpt("cts.maxSinksPerLeaf", 2, [](FlowOptions& o) { o.cts.maxSinksPerLeaf += 1; }),
+      onState("routing BEOL", 3,
+              [](FlowOutput& out, FlowOptions& o) {
+                o.f2fVia.pitch *= 2;
+                out.routingBeol = buildCombinedBeol(out.logicTech.beol, out.macroTech.beol,
+                                                    o.f2fVia, o.stackOrder);
+              }),
+      onOpt("grid.trackUtilization", 3, [](FlowOptions& o) { o.grid.trackUtilization = 0.7; }),
+      onOpt("grid.m1Utilization", 3, [](FlowOptions& o) { o.grid.m1Utilization = 0.2; }),
+      onOpt("router.maxIterations", 3, [](FlowOptions& o) { o.router.maxIterations += 1; }),
+      onOpt("router.f2fViaCost", 3, [](FlowOptions& o) { o.router.f2fViaCost += 1.0; }),
+      onOpt("router.batchSize", 3, [](FlowOptions& o) { o.router.batchSize += 1; }),
+      onOpt("router.searchHaloGcells", 3, [](FlowOptions& o) { o.router.searchHaloGcells += 1; }),
+      onOpt("ecoRouteFrom", 3, [](FlowOptions& o) { o.ecoRouteFrom = "no_such_seed.m3ddb"; }),
+      onFlags("postRouteOpt", 5, [](PipelineFlags& f) { f.postRouteOpt = false; }),
+      onOpt("signoffCorner", 6, [](FlowOptions& o) { o.signoffCorner = kSlowCorner; }),
+      onState("logicTech.vdd", 6, [](FlowOutput& out, FlowOptions&) { out.logicTech.vdd += 0.1; }),
+      onOpt("signoff", 6, [](FlowOptions& o) { o.signoff = false; }),
+      onOpt("verify.drc", 6, [](FlowOptions& o) { o.verify.drc = false; }),
+      onOpt("verify.connectivity", 6, [](FlowOptions& o) { o.verify.connectivity = false; }),
+      onOpt("verify.placement", 6, [](FlowOptions& o) { o.verify.placement = false; }),
+      onOpt("verify.f2f", 6, [](FlowOptions& o) { o.verify.f2f = false; }),
+  };
+  for (const KeyInput& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const std::array<std::uint64_t, 7> keys = stageKeys(&in);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (static_cast<int>(i) < in.stage) {
+        EXPECT_EQ(keys[i], base[i]) << "stage " << i << " keyed on a later stage's input";
+      } else {
+        EXPECT_NE(keys[i], base[i]) << "stage " << i << " missed the change";
+      }
+    }
+  }
+}
+
+// Results are bit-identical at any thread count, so no thread knob may
+// enter a key: checkpoints are shared across thread configurations.
+TEST(DbStageKeys, ThreadCountsEnterNoKey) {
+  const std::array<std::uint64_t, 7> base = stageKeys();
+  const std::vector<KeyInput> threads = {
+      onOpt("numThreads", 0, [](FlowOptions& o) { o.numThreads = 3; }),
+      onOpt("placer.numThreads", 0, [](FlowOptions& o) { o.placer.numThreads = 3; }),
+      onOpt("router.numThreads", 0, [](FlowOptions& o) { o.router.numThreads = 3; }),
+      onOpt("optBase.numThreads", 0, [](FlowOptions& o) { o.optBase.numThreads = 3; }),
+      onOpt("verify.numThreads", 0, [](FlowOptions& o) { o.verify.numThreads = 3; }),
+  };
+  for (const KeyInput& in : threads) {
+    SCOPED_TRACE(in.name);
+    EXPECT_EQ(stageKeys(&in), base);
+  }
 }
 
 }  // namespace

@@ -117,12 +117,10 @@ TEST_F(Opt2Fixture, FanoutBufferingBoundsSinkCount) {
   }
 
   const Floorplan fp = makeFp(100.0);
-  NetBufferingOptions opt;
-  opt.maxFanout = 6;
-  const NetBufferingResult r = bufferLongNets(nl_, fp, opt);
+  const NetBufferingResult r = bufferLongNets(nl_, fp);
   EXPECT_GT(r.buffersInserted, 0);
   EXPECT_TRUE(nl_.validate().empty()) << nl_.validate();
-  // The driver's net now carries at most maxFanout sinks... minus the
+  // The driver's net now carries at most 6 sinks (the fanout bound)... minus the
   // buffer tree structure: every non-clock net obeys the fanout bound
   // within one buffering round's tolerance.
   const Net& net = nl_.net(big);

@@ -12,6 +12,7 @@
 #include "geom/units.hpp"
 #include "lib/stdcell_factory.hpp"
 #include "netlist/logic_cloud.hpp"
+#include "place/analytic/analytic_placer.hpp"
 #include "place/analytic/density.hpp"
 #include "place/analytic/fft.hpp"
 #include "place/analytic/wirelength.hpp"
@@ -283,7 +284,7 @@ TEST_F(PlaceAnalyticFixture, EngineProducesLegalPlacementBeatingRandom) {
   EXPECT_LT(nl_.totalHpwl(), randomHpwl / 2) << "analytic placer should beat random by >2x";
   // The optimizer trades density for wirelength; post-legalization the
   // placement must still be near the overflow target rather than clustered.
-  EXPECT_LE(pr.overflow, 2.0 * opt.analytic.targetOverflow)
+  EXPECT_LE(pr.overflow, 2.0 * place::kTargetOverflow)
       << "final placement should be spread to near the density target";
 }
 

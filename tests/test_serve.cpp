@@ -30,7 +30,8 @@
 /// Flow-service tests.
 ///  - Serve* suites (ctest label "serve"): protocol round trips, queue
 ///    scheduling/coalescing semantics, spec -> options mapping. No flows run.
-///  - ServeSocket (label "serve"): socket-path ownership between daemons.
+///  - ServeSocket (label "serve"): socket-path ownership between daemons,
+///    the request-line cap and connection-thread cleanup.
 ///  - ServeFlow* suites (labels "serve;slow"): end-to-end -- concurrent
 ///    same-key stage-cache races, torn-entry self-healing, LRU eviction,
 ///    and a full in-process daemon exercised by concurrent clients
@@ -646,6 +647,87 @@ TEST(ServeSocket, RefusesLiveSocketAndReclaimsStaleOne) {
     again.shutdownAndJoin();
   }
   fs::remove_all(tempPath("m3d_serve_socket"));
+}
+
+/// Raw Unix-domain stream connection to \p path (-1 on failure).
+int rawConnect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// VmSize of this process [KiB] from /proc/self/status (-1 if unreadable).
+long vmSizeKb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+// A peer that never sends '\n' must not grow the daemon without bound: past
+// 1 MiB the line is refused with an error reply and the connection closed,
+// and the daemon keeps serving new connections.
+TEST(ServeSocket, OverlongRequestLineIsRefusedAndClosed) {
+  const ServerOptions opt = serverOptions("m3d_serve_long_line", /*executors=*/1);
+  TestServer ts(opt);
+  ASSERT_TRUE(ts.start());
+  const int fd = rawConnect(opt.socketPath);
+  ASSERT_GE(fd, 0);
+  // 2 MiB without a newline. Sends fail (EPIPE) once the server has given
+  // up on the line; that is expected and ends the write.
+  const std::string chunk(64 * 1024, 'x');
+  for (int i = 0; i < 32; ++i) {
+    if (::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) < 0) break;
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;  // EOF, or ECONNRESET after the reply
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(reply, "{\"ok\":false,\"error\":\"request line exceeds 1048576 bytes\"}\n");
+
+  Client c;
+  std::string err;
+  ASSERT_TRUE(c.connect(opt.socketPath, &err)) << err;
+  EXPECT_TRUE(c.ping(&err)) << err;
+  c.close();
+  ts.shutdownAndJoin();
+  fs::remove_all(tempPath("m3d_serve_long_line"));
+}
+
+// A connection's handler thread is joined once it returns: serving many
+// short connections must not keep one thread stack (8 MiB of address space
+// at the default size) per connection ever accepted.
+TEST(ServeSocket, FinishedConnectionThreadsAreJoined) {
+  const ServerOptions opt = serverOptions("m3d_serve_reap", /*executors=*/1);
+  TestServer ts(opt);
+  ASSERT_TRUE(ts.start());
+  const long before = vmSizeKb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 256; ++i) {
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connect(opt.socketPath, &err)) << err;
+    ASSERT_TRUE(c.ping(&err)) << err;
+    c.close();
+  }
+  const long grownMib = (vmSizeKb() - before) / 1024;
+  EXPECT_LT(grownMib, 512) << "VmSize grew by " << grownMib << " MiB over 256 connections";
+  ts.shutdownAndJoin();
+  fs::remove_all(tempPath("m3d_serve_reap"));
 }
 
 TEST(ServeFlowServer, FourConcurrentClientsMatchSerialBitForBit) {
