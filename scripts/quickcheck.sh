@@ -13,9 +13,39 @@
 # Use `ctest --test-dir build` with no label filter for the full tier-1 run.
 #
 # Usage: scripts/quickcheck.sh [build-dir]   (default: build)
+#        scripts/quickcheck.sh --sanitize address,undefined|thread [build-dir]
+#
+# --sanitize configures a separate build tree (default build-asan or
+# build-tsan) with -DM3D_SANITIZE=<list>, builds it and runs the tests only:
+# address,undefined runs `ctest -LE slow`; thread runs the suites that
+# exercise the thread pool and the daemon's threads (every *Determinism
+# suite, PlacerGolden, Parallel, StaIncr, DbStageCache, ObsPoolTrace and
+# Serve*). Any sanitizer finding aborts its test, so a green run is clean.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = "--sanitize" ]; then
+  SANITIZE="${2:?--sanitize needs address,undefined or thread}"
+  case "$SANITIZE" in
+    thread) BUILD_DIR="${3:-build-tsan}" ;;
+    *) BUILD_DIR="${3:-build-asan}" ;;
+  esac
+  cmake -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DM3D_SANITIZE="$SANITIZE"
+  if [ "$SANITIZE" = thread ]; then
+    cmake --build "$BUILD_DIR" -j "$(nproc)" --target m3d_tests
+    TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+      ctest --test-dir "$BUILD_DIR" --output-on-failure --parallel "$(nproc)" \
+      -R 'Determinism|PlacerGolden|^Parallel\.|StaIncr|DbStageCache|ObsPoolTrace|^Serve'
+  else
+    cmake --build "$BUILD_DIR" -j "$(nproc)"
+    ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
+      ctest --test-dir "$BUILD_DIR" -LE slow --output-on-failure --parallel "$(nproc)"
+  fi
+  echo "quickcheck: $SANITIZE sanitizer run clean"
+  exit 0
+fi
+
 BUILD_DIR="${1:-build}"
 
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then

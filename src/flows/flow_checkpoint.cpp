@@ -243,7 +243,6 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.i32(opt.placer.maxIters);
     h.b(opt.placer.useExistingPositions);
     h.i64(opt.placer.legalizer.partialBlockageResolution);
-    h.i32(opt.placer.legalizer.rowSearchWindow);
     h.f64(opt.placer.legalizer.cellWidthScale);
     keys[0] = h.digest();
   }

@@ -38,7 +38,7 @@ namespace m3d {
 
 /// Bump when the pipeline semantics or the key recipe change: stale caches
 /// from older binaries then miss instead of restoring wrong state.
-inline constexpr std::uint32_t kStageKeyVersion = 8;  // v8: keys drop the constant-folded knobs
+inline constexpr std::uint32_t kStageKeyVersion = 9;  // v9: place key drops the no-op row window
 
 /// Content keys of the seven pipeline stages for this pipeline input.
 /// Call at pipeline entry (before the place stage mutates the netlist).

@@ -288,11 +288,11 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
   result.quadraticHpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
   result.legal = legalize(nl, fp, opt.legalizer);
   if (!result.legal.success) {
-    // One retry with a wider row search window: the analytic solution is
-    // nearly overlap-free, so failures here are local congestion.
-    LegalizerOptions wide = opt.legalizer;
-    wide.rowSearchWindow *= 4;
-    result.legal = legalize(nl, fp, wide);
+    // One retry, on the first pass's output. The legalizer already searches
+    // every row, so the retry differs only in its input, but that input's x
+    // order can seat cells the first pass could not: dropping the retry
+    // could change results.
+    result.legal = legalize(nl, fp, opt.legalizer);
   }
   result.iterations = iters;
 

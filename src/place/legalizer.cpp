@@ -65,9 +65,6 @@ LegalizeResult legalize(Netlist& nl, const Floorplan& fp, const LegalizerOptions
         // honor partial blockages at a similarly coarse row/region
         // granularity -- the exact sub-row structure is invisible to them,
         // which is the resolution limitation the paper calls out).
-        const int rowsPerPeriod =
-            std::max(1, static_cast<int>(opt.partialBlockageResolution / fp.rowHeight));
-        (void)rowsPerPeriod;
         const double d = b.density;
         if (std::floor(static_cast<double>(r + 1) * d) > std::floor(static_cast<double>(r) * d)) {
           subtract(row.segs, b.rect.xlo, b.rect.xhi);
@@ -140,8 +137,8 @@ LegalizeResult legalize(Netlist& nl, const Floorplan& fp, const LegalizerOptions
     int bestRow = -1;
     Dbu bestX = 0;
     double bestCost = 0.0;
-    const int window = std::max(opt.rowSearchWindow, numRows);
-    for (int dr = 0; dr <= window; ++dr) {
+    // Every row is in reach; the bound below ends the search early.
+    for (int dr = 0; dr <= numRows; ++dr) {
       for (int sign = 0; sign < (dr == 0 ? 1 : 2); ++sign) {
         const int r = desiredRow + (sign == 0 ? dr : -dr);
         if (r < 0 || r >= numRows) continue;

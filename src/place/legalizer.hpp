@@ -19,10 +19,9 @@
 namespace m3d {
 
 struct LegalizerOptions {
-  /// Stripe period used to discretize partial blockages [DBU].
+  /// Stripe period for partial blockages [DBU]. legalize() does not read it:
+  /// it dithers partial blockages at whole-row granularity instead.
   Dbu partialBlockageResolution = umToDbu(8.0);
-  /// Row search window above/below the desired row.
-  int rowSearchWindow = 48;
   /// Width multiplier applied to every movable cell during legalization.
   /// The S2D/C2D pseudo phase legalizes at sqrt(2)x width so that after the
   /// 1/sqrt(2) tier-partitioning mapping the full-size cells are spaced

@@ -33,23 +33,10 @@ bool parsePlaceEngine(const std::string& name, PlaceEngine& out) {
 
 namespace {
 
-/// Nets per spring-build chunk (pure function of NetId range; thread-count
-/// independent, see parallel.hpp determinism contract).
-constexpr std::int64_t kNetGrain = 256;
-
 constexpr int kPureSolveRounds = 5;         ///< initial B2B reweighting rounds without anchors.
 constexpr double kAnchorWeightInit = 0.01;  ///< first anchor weight (grows geometrically).
 constexpr double kAnchorWeightGrowth = 1.8;
 constexpr int kMinIters = 9;                ///< don't trigger convergence before this.
-
-/// One deferred solver update emitted by the parallel spring build.
-/// b >= 0: addEdge(a, b, w); b < 0: addFixed(a, w, c).
-struct SpringOp {
-  int a;
-  int b;
-  double w;
-  double c;
-};
 
 /// splitmix64: cheap deterministic hash for the initial jitter.
 std::uint64_t mix64(std::uint64_t z) {
@@ -59,18 +46,75 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// The cells of one diffusion bin. Each entry keeps its own copy of its
+/// cell's coordinates, so the pick scans the bin's own arrays sequentially
+/// instead of gathering x[v]/y[v] from the whole placement.
+struct Bin {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<int> cell;
+
+  void clear() {
+    x.clear();
+    y.clear();
+    cell.clear();
+  }
+  void push(double cx, double cy, int v) {
+    x.push_back(cx);
+    y.push_back(cy);
+    cell.push_back(v);
+  }
+  /// Removes entry k; the last entry takes its position.
+  void swapRemove(std::size_t k) {
+    x[k] = x.back();
+    y[k] = y.back();
+    cell[k] = cell.back();
+    x.pop_back();
+    y.pop_back();
+    cell.pop_back();
+  }
+};
+
 /// Buffers reused across diffuse() calls within one globalPlace(): the bin
 /// capacities and cell areas are pure functions of (floorplan, targetUtil,
 /// movable, areaScale) — all loop-invariant across placer iterations — and
-/// the per-round bucket/demand vectors keep their allocations between
-/// rounds and calls instead of reallocating nx*ny vectors each round.
+/// the per-round bin/demand vectors keep their allocations between rounds
+/// and calls instead of reallocating nx*ny vectors each round.
 struct DiffuseScratch {
   std::vector<double> cap;
   std::vector<double> areas;
-  std::vector<std::vector<int>> cellsIn;
+  std::vector<Bin> bins;
   std::vector<double> demand;
+  std::vector<int> binOf;  ///< bin index of each cell, kept up to date by moves.
   bool primed = false;
 };
+
+/// Position in \p c of the cell to move out of its bin: the first entry
+/// with the largest (kPositive) or smallest coordinate, or 0 when no
+/// coordinate passes the ±1e30 sentinel. This is the rule of a linear scan
+/// that keeps the running extreme and moves the pick on strict improvement
+/// only, ties included. It runs in two passes: the extreme value from four
+/// independent accumulators (no loop-carried dependence on one running
+/// best), then the first position that holds it.
+template <bool kPositive>
+std::size_t pickExtreme(const std::vector<double>& c) {
+  auto better = [](double a, double b) { return kPositive ? a > b : a < b; };
+  constexpr double kSentinel = kPositive ? -1e30 : 1e30;
+  double m[4] = {kSentinel, kSentinel, kSentinel, kSentinel};
+  const std::size_t size = c.size();
+  std::size_t k = 0;
+  for (; k + 4 <= size; k += 4) {
+    for (std::size_t l = 0; l < 4; ++l) m[l] = better(c[k + l], m[l]) ? c[k + l] : m[l];
+  }
+  for (; k < size; ++k) m[0] = better(c[k], m[0]) ? c[k] : m[0];
+  double extreme = m[0];
+  for (std::size_t l = 1; l < 4; ++l) extreme = better(m[l], extreme) ? m[l] : extreme;
+  if (!better(extreme, kSentinel)) return 0;
+  for (k = 0; k < size; ++k) {
+    if (c[k] == extreme) return k;
+  }
+  return 0;
+}
 
 /// Bin-diffusion spreading: moves cells out of overfull bins into the least
 /// utilized neighbor bin until every bin respects its capacity. Preserves
@@ -105,23 +149,31 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
     for (std::size_t v = 0; v < movable.size(); ++v) {
       scratch.areas[v] = static_cast<double>(nl.cellOf(movable[v]).substrateArea()) * areaScale;
     }
-    scratch.cellsIn.resize(static_cast<std::size_t>(nx * ny));
+    scratch.bins.resize(static_cast<std::size_t>(nx * ny));
     scratch.primed = true;
   }
   const std::vector<double>& cap = scratch.cap;
   const std::vector<double>& areas = scratch.areas;
-  std::vector<std::vector<int>>& cellsIn = scratch.cellsIn;
+  std::vector<Bin>& bins = scratch.bins;
   std::vector<double>& demand = scratch.demand;
+  std::vector<int>& binOf = scratch.binOf;
 
+  // A cell changes bin only when a move below sends it to a neighbor bin,
+  // and the move sets its coordinate a quarter bin inside that bin, so the
+  // index recorded at the move is the one its coordinates map to.
+  binOf.resize(movable.size());
+  for (std::size_t v = 0; v < movable.size(); ++v) {
+    binOf[v] = map.yIndex(umToDbu(y[v])) * nx + map.xIndex(umToDbu(x[v]));
+  }
   for (int round = 0; round < rounds; ++round) {
-    // Bucket cells by bin (buckets keep their capacity across rounds).
-    for (auto& bucket : cellsIn) bucket.clear();
+    // Bucket cells by bin in cell order (bins keep their capacity across
+    // rounds).
+    for (Bin& bin : bins) bin.clear();
     demand.assign(static_cast<std::size_t>(nx * ny), 0.0);
     for (std::size_t v = 0; v < movable.size(); ++v) {
-      const int bx = map.xIndex(umToDbu(x[v]));
-      const int by = map.yIndex(umToDbu(y[v]));
-      cellsIn[static_cast<std::size_t>(by * nx + bx)].push_back(static_cast<int>(v));
-      demand[static_cast<std::size_t>(by * nx + bx)] += areas[v];
+      const std::size_t b = static_cast<std::size_t>(binOf[v]);
+      bins[b].push(x[v], y[v], static_cast<int>(v));
+      demand[b] += areas[v];
     }
     bool anyMove = false;
     for (int by = 0; by < ny; ++by) {
@@ -135,8 +187,8 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
           const std::size_t nb = static_cast<std::size_t>(nby * nx + nbx);
           return cap[nb] > 0.0 ? demand[nb] / cap[nb] : 1e30;
         };
-        auto& bucket = cellsIn[b];
-        while (demand[b] > cap[b] && !bucket.empty()) {
+        Bin& bin = bins[b];
+        while (demand[b] > cap[b] && !bin.cell.empty()) {
           struct Cand {
             int dx;
             int dy;
@@ -154,36 +206,27 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
           if (best < 0) break;
           // Move the cell already closest to the chosen edge (minimal
           // displacement, preserves cluster structure).
-          std::size_t pick = 0;
-          double bestCoord = cands[best].dx > 0 || cands[best].dy > 0 ? -1e30 : 1e30;
-          for (std::size_t k = 0; k < bucket.size(); ++k) {
-            const double coord = cands[best].dx != 0 ? x[static_cast<std::size_t>(bucket[k])]
-                                                     : y[static_cast<std::size_t>(bucket[k])];
-            const bool positive = cands[best].dx > 0 || cands[best].dy > 0;
-            if ((positive && coord > bestCoord) || (!positive && coord < bestCoord)) {
-              bestCoord = coord;
-              pick = k;
-            }
-          }
-          const int v = bucket[pick];
-          bucket[pick] = bucket.back();
-          bucket.pop_back();
+          const std::size_t pick = cands[best].dx > 0   ? pickExtreme<true>(bin.x)
+                                   : cands[best].dx < 0 ? pickExtreme<false>(bin.x)
+                                   : cands[best].dy > 0 ? pickExtreme<true>(bin.y)
+                                                        : pickExtreme<false>(bin.y);
+          const std::size_t v = static_cast<std::size_t>(bin.cell[pick]);
+          bin.swapRemove(pick);
           const int nbx = bx + cands[best].dx;
           const int nby = by + cands[best].dy;
           const Rect nr = map.cellRect(nbx, nby);
           // Project into the neighbor bin, keeping the orthogonal coordinate.
           const double margin = dbuToUm(binSize) * 0.25;
           if (cands[best].dx != 0) {
-            x[static_cast<std::size_t>(v)] =
-                cands[best].dx > 0 ? dbuToUm(nr.xlo) + margin : dbuToUm(nr.xhi) - margin;
+            x[v] = cands[best].dx > 0 ? dbuToUm(nr.xlo) + margin : dbuToUm(nr.xhi) - margin;
           } else {
-            y[static_cast<std::size_t>(v)] =
-                cands[best].dy > 0 ? dbuToUm(nr.ylo) + margin : dbuToUm(nr.yhi) - margin;
+            y[v] = cands[best].dy > 0 ? dbuToUm(nr.ylo) + margin : dbuToUm(nr.yhi) - margin;
           }
           const std::size_t nb = static_cast<std::size_t>(nby * nx + nbx);
-          demand[b] -= areas[static_cast<std::size_t>(v)];
-          demand[nb] += areas[static_cast<std::size_t>(v)];
-          cellsIn[nb].push_back(v);
+          demand[b] -= areas[v];
+          demand[nb] += areas[v];
+          bins[nb].push(x[v], y[v], static_cast<int>(v));
+          binOf[v] = static_cast<int>(nb);
           anyMove = true;
         }
       }
@@ -251,36 +294,57 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
 
   constexpr double kMinLen = 0.5;  // um, avoids singular weights
 
+  // The B2B pins of every net with two or more pins, flattened once: the
+  // pins of springNets[k] are springPins[begin, end). A pin is a movable
+  // variable (var >= 0) or a fixed location -- fixed instances and ports do
+  // not move during global placement.
+  struct SpringPin {
+    int var;
+    double fixedX;
+    double fixedY;
+  };
+  struct SpringNet {
+    std::size_t begin;
+    std::size_t end;
+    double weight;
+  };
+  std::vector<SpringPin> springPins;
+  std::vector<SpringNet> springNets;
+  for (NetId netId = 0; netId < nl.numNets(); ++netId) {
+    const Net& net = nl.net(netId);
+    if (net.pins.size() < 2) continue;
+    const std::size_t begin = springPins.size();
+    for (const NetPin& p : net.pins) {
+      const int var = p.kind == NetPin::Kind::kInstPin ? varOf[static_cast<std::size_t>(p.inst)] : -1;
+      if (var >= 0) {
+        springPins.push_back({var, 0.0, 0.0});
+      } else {
+        const Point pp = nl.pinPosition(p);
+        springPins.push_back({var, dbuToUm(pp.x), dbuToUm(pp.y)});
+      }
+    }
+    springNets.push_back({begin, springPins.size(), net.isClock ? kClockNetWeight : 1.0});
+  }
+
+  // Builds and solves one axis' system; returns the CG iteration count.
+  // Reads only that axis' coordinates and anchors and the fixed pins, and
+  // writes only that axis' coordinates. Springs are added net by net in
+  // NetId order, so the system -- and the solution -- is a pure function of
+  // the inputs.
   auto buildAndSolve = [&](bool horizontal) {
     CgSystem sys(n);
     std::vector<double>& coord = horizontal ? x : y;
-
-    // Emit the B2B spring operations of one net into \p ops. Reads coord
-    // (stable during the build; solve() writes it afterwards), so chunks of
-    // nets can run concurrently.
     struct PinCoord {
-      int var;      // -1 for fixed
+      int var;  // -1 for fixed
       double c;
     };
-    auto emitNet = [&](NetId netId, std::vector<PinCoord>& pins,
-                       std::vector<SpringOp>& ops) {
-      const Net& net = nl.net(netId);
-      if (net.pins.size() < 2) return;
-      const double netW = (net.isClock ? kClockNetWeight : 1.0);
+    std::vector<PinCoord> pins;
+    for (const SpringNet& net : springNets) {
       pins.clear();
-      for (const NetPin& p : net.pins) {
-        int var = -1;
-        double c = 0.0;
-        if (p.kind == NetPin::Kind::kInstPin) {
-          var = varOf[static_cast<std::size_t>(p.inst)];
-        }
-        if (var >= 0) {
-          c = coord[static_cast<std::size_t>(var)];
-        } else {
-          const Point pp = nl.pinPosition(p);
-          c = dbuToUm(horizontal ? pp.x : pp.y);
-        }
-        pins.push_back({var, c});
+      for (std::size_t k = net.begin; k < net.end; ++k) {
+        const SpringPin& p = springPins[k];
+        const double fixed = horizontal ? p.fixedX : p.fixedY;
+        pins.push_back({p.var, p.var >= 0 ? coord[static_cast<std::size_t>(p.var)] : fixed});
       }
       // Bound pins.
       std::size_t iMin = 0;
@@ -289,17 +353,17 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
         if (pins[k].c < pins[iMin].c) iMin = k;
         if (pins[k].c > pins[iMax].c) iMax = k;
       }
-      const double scale = 2.0 * netW / static_cast<double>(pins.size() - 1);
+      const double scale = 2.0 * net.weight / static_cast<double>(pins.size() - 1);
       auto addSpring = [&](std::size_t a, std::size_t b) {
         if (a == b) return;
         const double len = std::max(kMinLen, std::abs(pins[a].c - pins[b].c));
         const double w = scale / len;
         if (pins[a].var >= 0 && pins[b].var >= 0) {
-          ops.push_back({pins[a].var, pins[b].var, w, 0.0});
+          sys.addEdge(pins[a].var, pins[b].var, w);
         } else if (pins[a].var >= 0) {
-          ops.push_back({pins[a].var, -1, w, pins[b].c});
+          sys.addFixed(pins[a].var, w, pins[b].c);
         } else if (pins[b].var >= 0) {
-          ops.push_back({pins[b].var, -1, w, pins[a].c});
+          sys.addFixed(pins[b].var, w, pins[a].c);
         }
       };
       addSpring(iMin, iMax);
@@ -308,38 +372,24 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
         addSpring(k, iMin);
         addSpring(k, iMax);
       }
-    };
-
-    // Per-chunk op buffers concatenated in ascending chunk order give the
-    // exact op sequence of the sequential net loop, so the solver sees
-    // byte-identical input at any thread count.
-    std::vector<SpringOp> ops = par::parallelReduce<std::vector<SpringOp>>(
-        0, nl.numNets(), kNetGrain, {},
-        [&](std::int64_t lo, std::int64_t hi) {
-          std::vector<PinCoord> pins;
-          std::vector<SpringOp> out;
-          for (std::int64_t netId = lo; netId < hi; ++netId) {
-            emitNet(static_cast<NetId>(netId), pins, out);
-          }
-          return out;
-        },
-        [](std::vector<SpringOp> acc, std::vector<SpringOp> part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-          return acc;
-        },
-        opt.numThreads);
-    for (const SpringOp& op : ops) {
-      if (op.b >= 0) {
-        sys.addEdge(op.a, op.b, op.w);
-      } else {
-        sys.addFixed(op.a, op.w, op.c);
-      }
     }
     if (haveAnchors) {
       const std::vector<double>& anchor = horizontal ? ax : ay;
       for (int v = 0; v < n; ++v) sys.addFixed(v, anchorW, anchor[static_cast<std::size_t>(v)]);
     }
-    sys.solve(coord);
+    return sys.solve(coord);
+  };
+
+  // The x and y systems share nothing mutable, so they run as the two
+  // chunks of one parallelFor and each computes exactly what it computes
+  // alone. Iteration counts are summed after the join.
+  obs::Counter& cgIters = obs::counter("place.cg_iters");
+  auto solveBoth = [&] {
+    int iters[2] = {0, 0};
+    par::parallelFor(
+        0, 2, 1, [&](std::int64_t axis) { iters[axis] = buildAndSolve(axis == 0); },
+        opt.numThreads);
+    cgIters.add(iters[0] + iters[1]);
   };
 
   double prevHpwlUm = -1.0;
@@ -347,15 +397,17 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   std::vector<Point> bestPos;
   bool bestLegal = false;
   LegalizeResult bestLegalResult;
-  for (int r = 0; r < kPureSolveRounds; ++r) {
-    buildAndSolve(true);
-    buildAndSolve(false);
+  {
+    obs::ScopedPhase pure("place.pure_solve");
+    for (int r = 0; r < kPureSolveRounds; ++r) solveBoth();
   }
   DiffuseScratch diffuseScratch;  // capacities/buffers shared by all iterations
   for (int iter = 0; iter < opt.maxIters; ++iter) {
     obs::ScopedPhase it("place.iter");
-    buildAndSolve(true);
-    buildAndSolve(false);
+    {
+      obs::ScopedPhase solve("place.solve");
+      solveBoth();
+    }
 
     // Record the quadratic solution, spread it to legal density, legalize,
     // and read the result back as anchors.
@@ -367,6 +419,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
     }
     result.quadraticHpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
     {
+      obs::ScopedPhase diffusePhase("place.diffuse");
       std::vector<double> sx(x);
       std::vector<double> sy(y);
       for (int v = 0; v < n; ++v) {
@@ -383,7 +436,10 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
                          umToDbu(sy[static_cast<std::size_t>(v)])};
       }
     }
-    result.legal = legalize(nl, fp, opt.legalizer);
+    {
+      obs::ScopedPhase legalizePhase("place.legalize");
+      result.legal = legalize(nl, fp, opt.legalizer);
+    }
     result.iterations = iter + 1;
 
     for (int v = 0; v < n; ++v) {

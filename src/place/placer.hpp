@@ -42,11 +42,10 @@ struct PlacerOptions {
   /// When true, current instance positions seed the solver (hierarchical /
   /// region hints from the caller) instead of random jitter.
   bool useExistingPositions = false;
-  /// Threads for the spring/HPWL accumulation (0 = auto: M3D_THREADS env,
-  /// else hardware_concurrency). Chunks of nets emit spring operations into
-  /// per-chunk buffers that are applied to the solver in chunk order, so the
-  /// operation sequence — and the placement — is bit-identical at any
-  /// thread count.
+  /// Threads (0 = auto: M3D_THREADS env, else hardware_concurrency). B2B
+  /// builds and solves its x and y systems concurrently (so it uses two),
+  /// HPWL sums and the analytic engine's kernels use up to this many. The
+  /// placement is bit-identical at any thread count.
   int numThreads = 0;
   LegalizerOptions legalizer;
 };

@@ -637,8 +637,6 @@ TEST(DbStageKeys, EachHashedValueReKeysItsStageAndEverythingAfter) {
             [](FlowOptions& o) { o.placer.useExistingPositions = true; }),
       onOpt("placer.legalizer.partialBlockageResolution", 0,
             [](FlowOptions& o) { o.placer.legalizer.partialBlockageResolution *= 2; }),
-      onOpt("placer.legalizer.rowSearchWindow", 0,
-            [](FlowOptions& o) { o.placer.legalizer.rowSearchWindow += 1; }),
       onOpt("placer.legalizer.cellWidthScale", 0,
             [](FlowOptions& o) { o.placer.legalizer.cellWidthScale = 1.5; }),
       onFlags("preRouteOpt", 1, [](PipelineFlags& f) { f.preRouteOpt = false; }),

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/macro3d.hpp"
+#include "db/hash.hpp"
 #include "extract/extraction.hpp"
 #include "flows/flows.hpp"
 #include "floorplan/floorplan.hpp"
@@ -118,6 +119,42 @@ TEST(PlacerDeterminism, AnalyticEngineBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(pr.hpwlUm, referenceHpwl) << "HPWL drifted at numThreads=" << threads;
     EXPECT_EQ(pr.overflow, referenceOverflow) << "overflow drifted at numThreads=" << threads;
     EXPECT_EQ(pr.iterations, referenceIters) << "iteration count drifted at numThreads=" << threads;
+  }
+}
+
+// Pins the whole B2B path -- spring build, concurrent x/y CG solves, bin
+// diffusion, legalization, best-iterate keeping -- to recorded output: an
+// FNV-1a hash of every instance position plus the final HPWL's bit pattern.
+// The expected values were recorded from the sequential placer (x solve then
+// y solve, one CG pass per vector operation), so any reordering of a
+// floating-point sum anywhere in the placer shows up here. They assume IEEE
+// doubles without contracted multiply-adds (the project builds with
+// -std=c++20, not gnu++20).
+TEST(PlacerGolden, B2BMatchesParent) {
+  constexpr std::uint64_t kExpectedHash = 0xb6f04dafce623fc6ULL;
+  constexpr int kExpectedIterations = 12;
+  const TechNode tech = makeTech28(6);
+  for (const int threads : kThreadCounts) {
+    Library lib = makeStdCellLib(tech);
+    Netlist nl(&lib);
+    Floorplan fp;
+    buildPlacerProblem(tech, nl, fp);
+
+    PlacerOptions popt;
+    popt.numThreads = threads;
+    const PlaceResult pr = globalPlace(nl, fp, popt);
+    ASSERT_TRUE(pr.success);
+
+    db::HashStream h;
+    for (InstId i = 0; i < nl.numInstances(); ++i) {
+      h.i64(nl.instance(i).pos.x);
+      h.i64(nl.instance(i).pos.y);
+    }
+    h.f64(pr.hpwlUm);
+    EXPECT_EQ(h.digest(), kExpectedHash) << std::hex << "0x" << h.digest() << std::dec
+                                         << " at numThreads=" << threads << ", hpwl_um "
+                                         << pr.hpwlUm;
+    EXPECT_EQ(pr.iterations, kExpectedIterations) << "at numThreads=" << threads;
   }
 }
 

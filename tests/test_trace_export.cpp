@@ -17,11 +17,13 @@
 #include "core/macro3d.hpp"
 #include "core/parallel.hpp"
 #include "lib/stdcell_factory.hpp"
+#include "netlist/logic_cloud.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
+#include "place/placer.hpp"
 #include "route/route_grid.hpp"
 #include "route/router.hpp"
 
@@ -261,6 +263,82 @@ TEST(ObsTraceDeterminism, ReportCountersAndSeriesIdenticalAcrossThreads) {
   EXPECT_NE(at1.find("route.iter_pops"), std::string::npos);
   EXPECT_EQ(at1, at2);
   EXPECT_EQ(at1, at8);
+}
+
+/// Counter \p name of \p report (0 when the run never touched it).
+std::int64_t reportCounter(const obs::RunReport& report, const std::string& name) {
+  for (const auto& [key, value] : report.counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+TEST(ObsTraceDeterminism, PlacerLeafSpansAndCgItersIdenticalAcrossThreads) {
+  TraceGuard guard;
+  ASSERT_TRUE(obs::TraceCollector::global().enable(tempPath("m3d_trace_place.json")));
+  const TechNode tech = makeTech28(6);
+
+  auto placeReportAt = [&](int threads) {
+    Library lib = makeStdCellLib(tech);
+    Netlist nl(&lib);
+    const PortId clkPort = nl.addPort("clk", PinDir::kInput, Side::kWest, true);
+    const NetId clk = nl.addNet("clk");
+    nl.connectPort(clk, clkPort);
+    Rng rng(11);
+    CloudSpec spec;
+    spec.prefix = "c";
+    spec.numGates = 300;
+    spec.numRegs = 60;
+    spec.clockNet = clk;
+    buildLogicCloud(nl, rng, spec);
+    Floorplan fp;
+    fp.die = Rect{0, 0, snapUp(umToDbu(70.0), tech.siteWidth),
+                  snapUp(umToDbu(70.0), tech.rowHeight)};
+    fp.rowHeight = tech.rowHeight;
+    fp.siteWidth = tech.siteWidth;
+    assignPorts(nl, fp.die);
+
+    obs::Tracer::local().clear();
+    obs::ScopedRun run("place-spans", "cloud");
+    PlacerOptions popt;
+    popt.numThreads = threads;
+    EXPECT_TRUE(globalPlace(nl, fp, popt).success);
+    return run.finish();
+  };
+
+  std::int64_t cgIters1 = 0;
+  std::string metrics1;
+  for (const int threads : {1, 2, 8}) {
+    const obs::RunReport report = placeReportAt(threads);
+    const obs::Span& root = report.root;
+    // The pure-solve rounds precede the iterations; each iteration holds its
+    // solve, diffusion and legalization as leaf spans, in that order. All of
+    // them are opened on the calling thread, outside the parallel regions.
+    ASSERT_FALSE(root.children.empty());
+    EXPECT_EQ(root.children[0].name, "place.pure_solve") << "at numThreads=" << threads;
+    EXPECT_TRUE(root.children[0].children.empty());
+    int iters = 0;
+    for (const obs::Span& child : root.children) {
+      if (child.name != "place.iter") continue;
+      ++iters;
+      ASSERT_EQ(child.children.size(), 3u) << "iteration " << iters;
+      EXPECT_EQ(child.children[0].name, "place.solve");
+      EXPECT_EQ(child.children[1].name, "place.diffuse");
+      EXPECT_EQ(child.children[2].name, "place.legalize");
+      for (const obs::Span& leaf : child.children) EXPECT_TRUE(leaf.children.empty());
+    }
+    EXPECT_GT(iters, 0);
+
+    const std::int64_t cgIters = reportCounter(report, "place.cg_iters");
+    EXPECT_GT(cgIters, 0);
+    if (threads == 1) {
+      cgIters1 = cgIters;
+      metrics1 = canonicalMetrics(report);
+      continue;
+    }
+    EXPECT_EQ(cgIters, cgIters1) << "CG iterations drifted at numThreads=" << threads;
+    EXPECT_EQ(canonicalMetrics(report), metrics1) << "at numThreads=" << threads;
+  }
 }
 
 TEST(ObsSpanRss, SiblingSpanRssDeltasAreIndependent) {
