@@ -26,26 +26,6 @@ namespace {
 using namespace m3d;
 using namespace m3d::bench;
 
-/// Same reduced tile as the determinism/serve smoke tests: big enough for a
-/// non-trivial placement, small enough for a sub-minute double flow.
-TileConfig tinyTile() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 struct EngineRun {
   DesignMetrics metrics;
   double wallMs = 0.0;
@@ -127,7 +107,7 @@ bool compareEngines(const std::string& tileLabel, const EngineRun& b2b, const En
 
 int runSmoke() {
   BenchJson bj("hpwl_ablation_smoke");
-  const TileConfig tile = tinyTile();
+  const TileConfig tile = makeTinyTileConfig();
   bj.config("tile", tile.name);
   Table t("Placement-engine ablation (tiny tile, smoke)");
   t.setHeader({"tile", "engine", "place HPWL", "overflow", "route ovfl", "unrouted", "wall"});

@@ -33,25 +33,6 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Same reduced tile as the determinism/serve/hpwl smoke tests.
-TileConfig tinyTile() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 /// A placed, unoptimized tile (the state the pre-route opt stage sees):
 /// place + CTS only, no opt stages, no routing-dependent steps needed.
 FlowOutput placedTile(const TileConfig& cfg) {
@@ -173,7 +154,7 @@ OptResult runOpt(const Netlist& base, const EstimationOptions& eopt, int rounds,
 
 int runBench(bool smoke) {
   const TileConfig cfg =
-      smoke ? tinyTile() : maybeShrink(makeLargeCacheTileConfig());
+      smoke ? makeTinyTileConfig() : maybeShrink(makeLargeCacheTileConfig());
   BenchJson bj(smoke ? "sta_smoke" : "sta");
   bj.config("tile", cfg.name);
 

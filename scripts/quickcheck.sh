@@ -2,7 +2,8 @@
 # Quick development loop: configure + build + fast test subset + the
 # run-diff regression-gate self-consistency smoke.
 #
-# Runs everything EXCEPT the slow end-to-end flow suites (`ctest -LE slow`),
+# Runs everything EXCEPT the slow end-to-end flow suites (`ctest -LE slow`;
+# the two `flowbench_smoke_*` tests are the exception, run explicitly after),
 # which covers all unit/property tests including the design-database suites
 # (`ctest -L db` selects just those), the telemetry suites (`ctest -L obs`),
 # the flow-service protocol/queue suites (`ctest -L serve`), and the perf
@@ -53,6 +54,11 @@ if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -LE slow --output-on-failure "${CTEST_ARGS:---parallel $(nproc)}"
+
+# The flowbench smokes carry the slow label, but they are the only tests
+# that check that the stage keys name the checkpoint files and that a
+# re-saved checkpoint is byte-identical (about 7 s), so run them too.
+ctest --test-dir "$BUILD_DIR" -R '^flowbench_smoke_' --output-on-failure
 
 # Regression-gate self-consistency smoke: run bench_route --smoke twice and
 # diff the two BENCH_route_smoke.json dumps with m3d_report. Routing is

@@ -16,15 +16,17 @@
 ///
 /// Stage-cache keys: key[0] chains from a root hash of the pipeline entry
 /// state (library + netlist + floorplan + tile groups); key[i] chains from
-/// key[i-1], the stage name, and a hash of exactly the FlowOptions subset
-/// stage i reads. A perturbation therefore invalidates the first stage
-/// whose inputs changed and everything downstream, and nothing upstream —
-/// the ECO property. Example: changing the F2F bump pitch
-/// (FlowOptions::f2fVia) alters only the combined BEOL, which first enters
-/// the chain at the route stage, so place / pre_route_opt / cts stay
-/// cache-valid; resizing a macro changes the netlist and invalidates
-/// everything. Thread counts are excluded everywhere (results are
-/// bit-identical at any count by the determinism contract).
+/// key[i-1], the stage name, and a hash of exactly what stage i reads. Each
+/// stage's recipe sits in its entry of the pipeline table in
+/// flow_common.cpp, beside the stage body. A perturbation therefore
+/// invalidates the first stage whose inputs changed and everything
+/// downstream, and nothing upstream -- the ECO property. Example: changing
+/// the F2F bump pitch (FlowOptions::f2fVia) alters only the combined BEOL,
+/// which first enters the chain at the route stage, so place /
+/// pre_route_opt / cts stay cache-valid; resizing a macro changes the
+/// netlist and invalidates everything. Thread counts are excluded
+/// everywhere (results are bit-identical at any count by the determinism
+/// contract).
 
 #include <array>
 #include <cstdint>
@@ -38,10 +40,12 @@ namespace m3d {
 
 /// Bump when the pipeline semantics or the key recipe change: stale caches
 /// from older binaries then miss instead of restoring wrong state.
-inline constexpr std::uint32_t kStageKeyVersion = 9;  // v9: place key drops the no-op row window
+/// v10: the keys drop four values no stage reads.
+inline constexpr std::uint32_t kStageKeyVersion = 10;
 
 /// Content keys of the seven pipeline stages for this pipeline input.
 /// Call at pipeline entry (before the place stage mutates the netlist).
+/// Defined beside the pipeline's stage table (flow_common.cpp).
 std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowOptions& opt,
                                               const PipelineFlags& flags);
 
@@ -58,20 +62,18 @@ db::DbStatus saveStageCheckpoint(const FlowOutput& out, const std::string& pipel
 /// tech nodes, floorplan, tile groups/config) stay live, because a
 /// checkpoint of stage i is valid for every input that enters the key
 /// chain only downstream of i (the bump-pitch ECO case). Fails closed
-/// (typed status, \p out untouched on container/codec errors before the
-/// netlist swap) and rejects checkpoints whose library section does not
-/// hash-match the live library. out.grid is not touched; the pipeline
-/// rebuilds it when resuming at or past the route stage.
+/// (typed status, \p out untouched on any container or codec error) and
+/// rejects checkpoints whose library section does not hash-match the live
+/// library. out.grid is not touched; the pipeline rebuilds it when resuming
+/// at or past the route stage.
 db::DbStatus restoreStageCheckpoint(const std::string& path, FlowOutput& out,
                                     std::string& pipelineTrace);
 
 /// Standalone load: reconstructs a self-contained FlowOutput (fresh Library
 /// and Tile) from a checkpoint file, for offline inspection of a saved run.
-/// out.grid and out.report are not part of the database and are left empty.
+/// On success \p out is replaced whole -- out.grid and out.report are not
+/// part of the database and are left empty; on failure it is untouched.
 db::DbStatus loadFlowCheckpoint(const std::string& path, FlowOutput& out,
                                 std::string* pipelineTrace = nullptr);
-
-/// Stage index recorded in a checkpoint file (-1 if absent/corrupt).
-int checkpointStageIndex(const db::DesignDb& dbFile);
 
 }  // namespace m3d

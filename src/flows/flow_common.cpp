@@ -8,10 +8,13 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
 #include "core/parallel.hpp"
+#include "db/codec.hpp"
+#include "db/hash.hpp"
 #include "db/stage_cache.hpp"
 #include "io/fsutil.hpp"
 #include "obs/chrome_trace.hpp"
@@ -365,362 +368,244 @@ FlowOptions resolveFlowOptions(const FlowOptions& optIn) {
   return opt;
 }
 
-void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFlags& flags,
-                    std::ostringstream& callerTrace) {
+MaxFreqOptResult optimizeForTimingGoal(Netlist& nl, std::vector<NetParasitics>& paras,
+                                       ParasiticsProvider& provider, const ClockModel* clock,
+                                       OptimizerOptions base, const FlowOptions& opt) {
+  if (opt.maxPerformance) {
+    return optimizeForMaxFrequency(nl, paras, provider, clock, std::move(base),
+                                   opt.maxFreqRounds);
+  }
+  base.targetPeriod = opt.targetPeriodNs * 1e-9;
+  const OptimizeResult res = optimizeTiming(nl, paras, provider, clock, base);
+  MaxFreqOptResult r;
+  r.cellsResized = res.cellsResized;
+  r.buffersInserted = res.buffersInserted;
+  return r;
+}
+
+namespace {
+
+using db::HashStream;
+
+// --- The pipeline stages -----------------------------------------------------
+// Each body reads the flow state left by the stages before it plus the
+// options its table entry (below) hashes.
+
+/// Seeding, global placement and repeater insertion -- or, for a pseudo
+/// flow's inherited placement, only its overlap-fix legalization.
+void runPlace(FlowOutput& out, const FlowOptions& opt, const PipelineFlags& flags,
+              std::ostringstream& trace, obs::ScopedPhase& phase) {
   Netlist& nl = out.tile->netlist;
-
-  // Resolved before the stage keys are computed: the keys hash the
-  // effective knobs. Report the resolved thread count once so run reports
-  // record what the machine actually used.
-  const FlowOptions opt = resolveFlowOptions(optIn);
-  obs::gauge("parallel.threads").set(static_cast<double>(par::resolveThreads(opt.numThreads)));
-
-  // --- Stage cache setup ---------------------------------------------------
-  // Content keys are computed once at pipeline entry; with resume enabled,
-  // the longest cached prefix is restored from disk (scan from signoff
-  // down, restore the deepest hit only) and the remaining stages run as
-  // usual, saving their own checkpoints.
-  std::string cacheDir = opt.checkpointDir;
-  if (cacheDir.empty()) {
-    if (const char* env = std::getenv("M3D_CHECKPOINT_DIR")) cacheDir = env;
+  if (flags.inheritPlacement) {
+    const LegalizeResult lr = legalize(nl, out.fp);
+    out.metrics.legalizeAvgDispUm = displayUm(lr.avgDisplacementUm);
+    out.metrics.placeHpwlMm = displayMm(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
+    obs::series("place.hpwl").record(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
+    phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
+    phase.attr("overlap_fix_disp_um", out.metrics.legalizeAvgDispUm);
+    trace << "overlap-fix legalize: avg_disp_um=" << out.metrics.legalizeAvgDispUm
+          << " max_disp_um=" << displayUm(lr.maxDisplacementUm) << " fail=" << lr.failedCells
+          << "\n";
+    M3D_LOG(info) << "place done (overlap-fix): avg_disp_um="
+                  << out.metrics.legalizeAvgDispUm << " legal_fail=" << lr.failedCells;
+    return;
   }
-  db::StageCacheOptions cacheOpt;
-  cacheOpt.maxBytes = opt.cacheMaxBytes;
-  if (cacheOpt.maxBytes == 0) {
-    long budget = 0;
-    if (envLong("M3D_CACHE_MAX_BYTES", 0, &budget)) cacheOpt.maxBytes = budget;
-  }
-  db::StageCache cache(cacheDir, opt.resume, cacheOpt);
-  std::array<std::uint64_t, 7> keys{};
-  int resumeStage = -1;  // deepest stage restored from cache (-1 = cold).
-  if (cache.enabled()) {
-    keys = computeStageKeys(out, opt, flags);
-    out.finalCheckpointPath = cache.path(6, kPipelineStageNames[6], keys[6]);
-    if (cache.resumeEnabled()) {
-      for (int i = 6; i >= 0; --i) {
-        if (cache.has(i, kPipelineStageNames[i], keys[i])) {
-          resumeStage = i;
-          break;
-        }
-      }
-    }
-  }
+  seedPlacementByModules(*out.tile, out.fp);
+  PlacerOptions popt = opt.placer;
+  popt.useExistingPositions = true;
+  const PlaceResult pr = globalPlace(nl, out.fp, popt);
+  out.metrics.placeHpwlMm = displayMm(pr.hpwlUm);
+  out.metrics.legalizeAvgDispUm = displayUm(pr.legal.avgDisplacementUm);
+  out.metrics.placeEngine = placeEngineName(pr.engine);
+  out.metrics.placeOverflow = pr.overflow;
+  out.metrics.placeIterations = pr.iterations;
+  phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
+  phase.attr("iterations", pr.iterations);
+  phase.attr("overflow", pr.overflow);
+  trace << "place: engine=" << out.metrics.placeEngine
+        << " hpwl_mm=" << out.metrics.placeHpwlMm
+        << " overflow=" << pr.overflow
+        << " legal_fail=" << pr.legal.failedCells << "\n";
+  M3D_LOG(info) << "place done: engine=" << out.metrics.placeEngine
+                << " hpwl_mm=" << out.metrics.placeHpwlMm
+                << " overflow=" << pr.overflow
+                << " iters=" << pr.iterations << " legal_fail=" << pr.legal.failedCells;
+  // Global repeater insertion belongs to the placement stage.
+  obs::ScopedPhase repeaters("place.repeaters");
+  const NetBufferingResult nb = bufferLongNets(nl, out.fp);
+  out.metrics.buffersInserted += nb.buffersInserted;
+  obs::counter("place.repeaters_inserted").add(nb.buffersInserted);
+  const LegalizeResult lr = legalize(nl, out.fp);
+  trace << "repeaters: inserted=" << nb.buffersInserted << " legal_fail=" << lr.failedCells
+        << "\n";
+  M3D_LOG(info) << "repeaters inserted=" << nb.buffersInserted
+                << " legal_fail=" << lr.failedCells;
+}
 
-  // Pipeline-local trace: checkpointed with each stage, so a restored run
-  // replays the exact step log the cold run produced; appended to the
-  // caller's trace when the pipeline finishes.
-  std::ostringstream trace;
-
-  if (resumeStage >= 0) {
-    const std::string path =
-        cache.path(resumeStage, kPipelineStageNames[resumeStage], keys[resumeStage]);
-    std::string restoredTrace;
-    const db::DbStatus st = restoreStageCheckpoint(path, out, restoredTrace);
-    if (st.ok()) {
-      trace << restoredTrace;
-      obs::counter("db.stage_cache_hits").add(resumeStage + 1);
-      cache.noteUsed(path);  // LRU touch under the shared-cache index lock
-      if (const std::int64_t bytes = io::fileSizeBytes(path); bytes > 0) {
-        obs::counter("db.stage_cache_bytes_read").add(bytes);
-      }
-      M3D_LOG(info) << "stage cache: restored through '"
-                    << kPipelineStageNames[resumeStage] << "' from " << path;
-      if (resumeStage >= 3) {
-        // The RouteGrid is rebuilt, never serialized: it is a pure function
-        // of the fixed macros, die, BEOL and grid options, and post-route
-        // sizing only touches non-fixed cells, so the rebuild is
-        // bit-identical to the grid the routes were committed on.
-        out.grid = std::make_unique<RouteGrid>(nl, out.fp.die, out.routingBeol, opt.grid);
-      }
-    } else {
-      obs::counter("db.stage_cache_restore_failures").add(1);
-      M3D_LOG(warn) << "stage cache: restore failed (" << db::dbErrorName(st.error) << ": "
-                    << st.detail << "); recomputing from scratch";
-      // Drop the corrupt entry so this run's recompute re-publishes a good
-      // copy (the single-winner publish below would otherwise keep skipping
-      // the existing bytes, shadowing the key with garbage forever).
-      cache.removeEntry(path);
-      resumeStage = -1;
-    }
-  }
-  if (cache.enabled()) obs::counter("db.stage_cache_misses").add(6 - resumeStage);
-  out.cacheRestoredStages = resumeStage + 1;
-
-  const auto stageRestored = [&resumeStage](int i) { return i <= resumeStage; };
-  const auto saveStage = [&](int stageIdx) {
-    if (!cache.enabled()) return;
-    const std::string path =
-        cache.path(stageIdx, kPipelineStageNames[stageIdx], keys[stageIdx]);
-    // Single-winner publish: when a concurrent job already published this
-    // key (entries are content-addressed and the flows deterministic, so
-    // the bytes are identical), skip the redundant write and just touch
-    // the entry's LRU slot.
-    if (io::fileExists(path)) {
-      cache.noteUsed(path);
-      return;
-    }
-    const db::DbStatus st =
-        saveStageCheckpoint(out, trace.str(), stageIdx, keys[stageIdx], path);
-    if (st.ok()) {
-      obs::counter("db.stage_checkpoints_written").add(1);
-      if (const std::int64_t bytes = io::fileSizeBytes(path); bytes > 0) {
-        obs::counter("db.stage_cache_bytes_written").add(bytes);
-      }
-      cache.noteStored(path);  // index entry + LRU eviction under the budget
-    } else {
-      M3D_LOG(warn) << "stage cache: checkpoint write failed (" << db::dbErrorName(st.error)
-                    << ": " << st.detail << ")";
-    }
-  };
-
-  // --- Placement -----------------------------------------------------------
-  {
-    obs::ScopedPhase phase(kPipelineStageNames[0]);  // place
-    if (cache.enabled()) phase.attr("cache_hit", stageRestored(0) ? 1.0 : 0.0);
-    if (!stageRestored(0)) {
-    if (flags.inheritPlacement) {
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      const LegalizeResult lr = legalize(nl, out.fp, lopt);
-      out.metrics.legalizeAvgDispUm = displayUm(lr.avgDisplacementUm);
-      out.metrics.placeHpwlMm = displayMm(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
-      obs::series("place.hpwl").record(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
-      phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
-      phase.attr("overlap_fix_disp_um", out.metrics.legalizeAvgDispUm);
-      trace << "overlap-fix legalize: avg_disp_um=" << out.metrics.legalizeAvgDispUm
-            << " max_disp_um=" << displayUm(lr.maxDisplacementUm) << " fail=" << lr.failedCells
-            << "\n";
-      M3D_LOG(info) << "place done (overlap-fix): avg_disp_um="
-                    << out.metrics.legalizeAvgDispUm << " legal_fail=" << lr.failedCells;
-    } else {
-      seedPlacementByModules(*out.tile, out.fp);
-      PlacerOptions popt = opt.placer;
-      popt.useExistingPositions = true;
-      popt.legalizer.partialBlockageResolution = opt.partialBlockageResolution;
-      const PlaceResult pr = globalPlace(nl, out.fp, popt);
-      out.metrics.placeHpwlMm = displayMm(pr.hpwlUm);
-      out.metrics.legalizeAvgDispUm = displayUm(pr.legal.avgDisplacementUm);
-      out.metrics.placeEngine = placeEngineName(pr.engine);
-      out.metrics.placeOverflow = pr.overflow;
-      out.metrics.placeIterations = pr.iterations;
-      phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
-      phase.attr("iterations", pr.iterations);
-      phase.attr("overflow", pr.overflow);
-      trace << "place: engine=" << out.metrics.placeEngine
-            << " hpwl_mm=" << out.metrics.placeHpwlMm
-            << " overflow=" << pr.overflow
-            << " legal_fail=" << pr.legal.failedCells << "\n";
-      M3D_LOG(info) << "place done: engine=" << out.metrics.placeEngine
-                    << " hpwl_mm=" << out.metrics.placeHpwlMm
-                    << " overflow=" << pr.overflow
-                    << " iters=" << pr.iterations << " legal_fail=" << pr.legal.failedCells;
-      // Global repeater insertion belongs to the placement stage.
-      const NetBufferingResult nb = bufferLongNets(nl, out.fp);
-      out.metrics.buffersInserted += nb.buffersInserted;
-      obs::counter("place.repeaters_inserted").add(nb.buffersInserted);
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      const LegalizeResult lr = legalize(nl, out.fp, lopt);
-      trace << "repeaters: inserted=" << nb.buffersInserted << " legal_fail=" << lr.failedCells
-            << "\n";
-      M3D_LOG(info) << "repeaters inserted=" << nb.buffersInserted
-                    << " legal_fail=" << lr.failedCells;
-    }
-    saveStage(0);
-    }
-  }
-
-  // --- Pre-route optimization on estimated parasitics -----------------------
-  {
-  obs::ScopedPhase phase(kPipelineStageNames[1]);  // pre_route_opt
-  if (cache.enabled()) phase.attr("cache_hit", stageRestored(1) ? 1.0 : 0.0);
-  if (!stageRestored(1)) {
-  if (flags.preRouteOpt) {
-    const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
-    EstimatedParasitics provider(eopt);
-    out.paras = estimateDesign(nl, eopt);
-    const int presized = presizeForLoad(nl, out.paras, provider);
-    trace << "presize: resized=" << presized << "\n";
-    MaxFreqOptResult r;
-    if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, out.paras, provider, nullptr, opt.optBase,
-                                  opt.maxFreqRounds);
-    } else {
-      OptimizerOptions o = opt.optBase;
-      o.targetPeriod = opt.targetPeriodNs * 1e-9;
-      const OptimizeResult res = optimizeTiming(nl, out.paras, provider, nullptr, o);
-      r.cellsResized = res.cellsResized;
-      r.buffersInserted = res.buffersInserted;
-      r.minPeriod = Sta(nl, out.paras, nullptr, kTypicalCorner, opt.numThreads).findMinPeriod();
-    }
-    out.metrics.cellsResized += r.cellsResized;
-    out.metrics.buffersInserted += r.buffersInserted;
-    phase.attr("cells_resized", r.cellsResized);
-    phase.attr("buffers_inserted", r.buffersInserted);
-    trace << "pre-route opt: resized=" << r.cellsResized << " buffers=" << r.buffersInserted
-          << " est_minT_ns=" << r.minPeriod * 1e9 << "\n";
-    M3D_LOG(info) << "pre-route opt done: resized=" << r.cellsResized
-                  << " buffers=" << r.buffersInserted << " est_minT_ns=" << r.minPeriod * 1e9;
-    // Inserted buffers need legal positions.
-    LegalizerOptions lopt;
-    lopt.partialBlockageResolution = opt.partialBlockageResolution;
-    const LegalizeResult lr = legalize(nl, out.fp, lopt);
-    if (lr.failedCells > 0) {
-      trace << "WARN pre-route-opt legalize fail=" << lr.failedCells << "\n";
-      M3D_LOG(warn) << "pre-route-opt legalize fail=" << lr.failedCells;
-    }
-  } else {
+/// Pre-route optimization on estimated parasitics.
+void runPreRouteOpt(FlowOutput& out, const FlowOptions& opt, const PipelineFlags& flags,
+                    std::ostringstream& trace, obs::ScopedPhase& phase) {
+  if (!flags.preRouteOpt) {
     M3D_LOG(debug) << "pre-route opt skipped";
+    return;
   }
-  saveStage(1);
+  Netlist& nl = out.tile->netlist;
+  const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
+  EstimatedParasitics provider(eopt);
+  out.paras = estimateDesign(nl, eopt);
+  const int presized = presizeForLoad(nl, out.paras, provider);
+  trace << "presize: resized=" << presized << "\n";
+  MaxFreqOptResult r = optimizeForTimingGoal(nl, out.paras, provider, nullptr, opt.optBase, opt);
+  if (!opt.maxPerformance) {
+    // A fixed target does not probe the achievable period; the trace reports it.
+    r.minPeriod = Sta(nl, out.paras, nullptr, kTypicalCorner, opt.numThreads).findMinPeriod();
   }
+  out.metrics.cellsResized += r.cellsResized;
+  out.metrics.buffersInserted += r.buffersInserted;
+  phase.attr("cells_resized", r.cellsResized);
+  phase.attr("buffers_inserted", r.buffersInserted);
+  trace << "pre-route opt: resized=" << r.cellsResized << " buffers=" << r.buffersInserted
+        << " est_minT_ns=" << r.minPeriod * 1e9 << "\n";
+  M3D_LOG(info) << "pre-route opt done: resized=" << r.cellsResized
+                << " buffers=" << r.buffersInserted << " est_minT_ns=" << r.minPeriod * 1e9;
+  // Inserted buffers need legal positions.
+  const LegalizeResult lr = legalize(nl, out.fp);
+  if (lr.failedCells > 0) {
+    trace << "WARN pre-route-opt legalize fail=" << lr.failedCells << "\n";
+    M3D_LOG(warn) << "pre-route-opt legalize fail=" << lr.failedCells;
   }
+}
 
-  // --- Clock tree synthesis --------------------------------------------------
-  {
-    obs::ScopedPhase phase(kPipelineStageNames[2]);  // cts
-    if (cache.enabled()) phase.attr("cache_hit", stageRestored(2) ? 1.0 : 0.0);
-    if (!stageRestored(2)) {
-    const NetId clockNet = out.tile->groups.clockNet;
-    out.cts = synthesizeClockTree(nl, clockNet, out.fp, opt.cts);
+/// Clock tree synthesis.
+void runCts(FlowOutput& out, const FlowOptions& opt, const PipelineFlags&,
+            std::ostringstream& trace, obs::ScopedPhase& phase) {
+  Netlist& nl = out.tile->netlist;
+  out.cts = synthesizeClockTree(nl, out.tile->groups.clockNet, out.fp, opt.cts);
+  legalize(nl, out.fp);
+  phase.attr("sinks", out.cts.numSinks);
+  phase.attr("buffers", static_cast<double>(out.cts.buffers.size()));
+  phase.attr("depth", out.cts.maxDepth);
+  trace << "cts: sinks=" << out.cts.numSinks << " buffers=" << out.cts.buffers.size()
+        << " depth=" << out.cts.maxDepth << "\n";
+  M3D_LOG(info) << "cts done: sinks=" << out.cts.numSinks
+                << " buffers=" << out.cts.buffers.size() << " depth=" << out.cts.maxDepth;
+}
+
+/// Routing: builds out.grid, then a full route or an incremental ECO
+/// reroute seeded from a prior run's checkpoint.
+void runRoute(FlowOutput& out, const FlowOptions& opt, const PipelineFlags&,
+              std::ostringstream& trace, obs::ScopedPhase& phase) {
+  const Netlist& nl = out.tile->netlist;
+  out.grid = std::make_unique<RouteGrid>(nl, out.fp.die, out.routingBeol, opt.grid);
+  // Any load/compat failure of the ECO seed degrades to a full route.
+  bool ecoRouted = false;
+  if (!opt.ecoRouteFrom.empty()) {
+    FlowOutput prevOut;
+    db::DbStatus st;
     {
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      legalize(nl, out.fp, lopt);
+      obs::ScopedPhase restore("db.restore");
+      st = loadFlowCheckpoint(opt.ecoRouteFrom, prevOut);
     }
-    phase.attr("sinks", out.cts.numSinks);
-    phase.attr("buffers", static_cast<double>(out.cts.buffers.size()));
-    phase.attr("depth", out.cts.maxDepth);
-    trace << "cts: sinks=" << out.cts.numSinks << " buffers=" << out.cts.buffers.size()
-          << " depth=" << out.cts.maxDepth << "\n";
-    M3D_LOG(info) << "cts done: sinks=" << out.cts.numSinks
-                  << " buffers=" << out.cts.buffers.size() << " depth=" << out.cts.maxDepth;
-    saveStage(2);
-    }
-  }
-
-  // --- Routing ---------------------------------------------------------------
-  {
-    obs::ScopedPhase phase(kPipelineStageNames[3]);  // route
-    if (cache.enabled()) phase.attr("cache_hit", stageRestored(3) ? 1.0 : 0.0);
-    if (!stageRestored(3)) {
-    out.grid = std::make_unique<RouteGrid>(nl, out.fp.die, out.routingBeol, opt.grid);
-    // Incremental ECO reroute: seed from a prior run's stage checkpoint
-    // when one is named; any load/compat failure degrades to a full route.
-    bool ecoRouted = false;
-    if (!opt.ecoRouteFrom.empty()) {
-      FlowOutput prevOut;
-      const db::DbStatus st = loadFlowCheckpoint(opt.ecoRouteFrom, prevOut);
-      if (st.ok() && prevOut.tile != nullptr && !prevOut.routes.nets.empty()) {
-        const RouteGrid prevGrid(prevOut.tile->netlist, prevOut.fp.die, prevOut.routingBeol,
-                                 opt.grid);
-        out.routes = routeDesignEco(nl, *out.grid, prevGrid, prevOut.routes, opt.router);
-        ecoRouted = true;
-        phase.attr("eco_nets_ripped", static_cast<double>(out.routes.ecoNetsRipped));
-        phase.attr("eco_nets_reused", static_cast<double>(out.routes.ecoNetsReused));
-        trace << "eco route: seed=" << opt.ecoRouteFrom
-              << " ripped=" << out.routes.ecoNetsRipped
-              << " reused=" << out.routes.ecoNetsReused
-              << " dirty_gcells=" << out.routes.ecoDirtyGcells << "\n";
-        M3D_LOG(info) << "eco route: ripped=" << out.routes.ecoNetsRipped << " reused="
-                      << out.routes.ecoNetsReused << " of "
-                      << (out.routes.ecoNetsRipped + out.routes.ecoNetsReused) << " nets";
-      } else {
-        M3D_LOG(warn) << "eco route: cannot seed from '" << opt.ecoRouteFrom << "' ("
-                      << (st.ok() ? "checkpoint lacks routes" : st.detail)
-                      << "); running a full route";
-      }
-    }
-    if (!ecoRouted) out.routes = routeDesign(nl, *out.grid, opt.router);
-    phase.attr("wl_m", displayM(out.routes.totalWirelengthUm));
-    phase.attr("f2f_bumps", static_cast<double>(out.routes.f2fBumps));
-    phase.attr("overflow_edges", out.routes.overflowedEdges);
-    phase.attr("unrouted", out.routes.unroutedNets);
-    trace << "route: wl_m=" << displayM(out.routes.totalWirelengthUm)
-          << " f2f=" << out.routes.f2fBumps << " overflow=" << out.routes.overflowedEdges
-          << " unrouted=" << out.routes.unroutedNets << "\n";
-    M3D_LOG(info) << "route done: wl_m=" << displayM(out.routes.totalWirelengthUm)
-                  << " f2f=" << out.routes.f2fBumps
-                  << " overflow=" << out.routes.overflowedEdges
-                  << " unrouted=" << out.routes.unroutedNets;
-    saveStage(3);
-    }
-  }
-
-  // --- Extraction + clock model ------------------------------------------------
-  {
-    obs::ScopedPhase phase(kPipelineStageNames[4]);  // extract
-    if (cache.enabled()) phase.attr("cache_hit", stageRestored(4) ? 1.0 : 0.0);
-    if (!stageRestored(4)) {
-    out.paras = extractDesign(nl, *out.grid, out.routes);
-    out.clock = updateClockModel(nl, out.paras, out.cts);
-    phase.attr("nets", nl.numNets());
-    phase.attr("clock_latency_ps", out.clock.maxLatency * 1e12);
-    trace << "clock: latency_ps=" << out.clock.maxLatency * 1e12
-          << " skew_ps=" << out.clock.skew * 1e12 << "\n";
-    M3D_LOG(info) << "extract done: nets=" << nl.numNets()
-                  << " clock_latency_ps=" << out.clock.maxLatency * 1e12
-                  << " skew_ps=" << out.clock.skew * 1e12;
-    saveStage(4);
-    }
-  }
-
-  // --- Post-route sizing optimization -------------------------------------------
-  {
-  obs::ScopedPhase phase(kPipelineStageNames[5]);  // post_route_opt
-  if (cache.enabled()) phase.attr("cache_hit", stageRestored(5) ? 1.0 : 0.0);
-  if (!stageRestored(5)) {
-  if (flags.postRouteOpt) {
-    RoutedParasitics provider(*out.grid, out.routes);
-    // Placement is frozen from here on: sizing must not create overlaps.
-    OptimizerOptions guarded = opt.optBase;
-    guarded.resizeGuard = frozenFootprintGuard(nl, out.fp);
-    const int presized =
-        presizeForLoad(nl, out.paras, provider, 130e-12, guarded.resizeGuard);
-    trace << "post-route presize: resized=" << presized << "\n";
-    MaxFreqOptResult r;
-    if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, out.paras, provider, &out.clock, guarded,
-                                  opt.maxFreqRounds);
+    if (st.ok() && prevOut.tile != nullptr && !prevOut.routes.nets.empty()) {
+      const RouteGrid prevGrid(prevOut.tile->netlist, prevOut.fp.die, prevOut.routingBeol,
+                               opt.grid);
+      out.routes = routeDesignEco(nl, *out.grid, prevGrid, prevOut.routes, opt.router);
+      ecoRouted = true;
+      phase.attr("eco_nets_ripped", static_cast<double>(out.routes.ecoNetsRipped));
+      phase.attr("eco_nets_reused", static_cast<double>(out.routes.ecoNetsReused));
+      trace << "eco route: seed=" << opt.ecoRouteFrom
+            << " ripped=" << out.routes.ecoNetsRipped
+            << " reused=" << out.routes.ecoNetsReused
+            << " dirty_gcells=" << out.routes.ecoDirtyGcells << "\n";
+      M3D_LOG(info) << "eco route: ripped=" << out.routes.ecoNetsRipped << " reused="
+                    << out.routes.ecoNetsReused << " of "
+                    << (out.routes.ecoNetsRipped + out.routes.ecoNetsReused) << " nets";
     } else {
-      OptimizerOptions o = guarded;
-      o.targetPeriod = opt.targetPeriodNs * 1e-9;
-      const OptimizeResult res = optimizeTiming(nl, out.paras, provider, &out.clock, o);
-      r.cellsResized = res.cellsResized;
-      r.buffersInserted = res.buffersInserted;
+      M3D_LOG(warn) << "eco route: cannot seed from '" << opt.ecoRouteFrom << "' ("
+                    << (st.ok() ? "checkpoint lacks routes" : st.detail)
+                    << "); running a full route";
     }
-    out.metrics.cellsResized += r.cellsResized;
-    out.metrics.buffersInserted += r.buffersInserted;
-    phase.attr("cells_resized", r.cellsResized);
-    trace << "post-route opt: resized=" << r.cellsResized << "\n";
-    M3D_LOG(info) << "post-route opt done: resized=" << r.cellsResized;
-  } else {
+  }
+  if (!ecoRouted) out.routes = routeDesign(nl, *out.grid, opt.router);
+  phase.attr("wl_m", displayM(out.routes.totalWirelengthUm));
+  phase.attr("f2f_bumps", static_cast<double>(out.routes.f2fBumps));
+  phase.attr("overflow_edges", out.routes.overflowedEdges);
+  phase.attr("unrouted", out.routes.unroutedNets);
+  trace << "route: wl_m=" << displayM(out.routes.totalWirelengthUm)
+        << " f2f=" << out.routes.f2fBumps << " overflow=" << out.routes.overflowedEdges
+        << " unrouted=" << out.routes.unroutedNets << "\n";
+  M3D_LOG(info) << "route done: wl_m=" << displayM(out.routes.totalWirelengthUm)
+                << " f2f=" << out.routes.f2fBumps
+                << " overflow=" << out.routes.overflowedEdges
+                << " unrouted=" << out.routes.unroutedNets;
+}
+
+/// Extraction + clock model.
+void runExtract(FlowOutput& out, const FlowOptions&, const PipelineFlags&,
+                std::ostringstream& trace, obs::ScopedPhase& phase) {
+  const Netlist& nl = out.tile->netlist;
+  out.paras = extractDesign(nl, *out.grid, out.routes);
+  out.clock = updateClockModel(nl, out.paras, out.cts);
+  phase.attr("nets", nl.numNets());
+  phase.attr("clock_latency_ps", out.clock.maxLatency * 1e12);
+  trace << "clock: latency_ps=" << out.clock.maxLatency * 1e12
+        << " skew_ps=" << out.clock.skew * 1e12 << "\n";
+  M3D_LOG(info) << "extract done: nets=" << nl.numNets()
+                << " clock_latency_ps=" << out.clock.maxLatency * 1e12
+                << " skew_ps=" << out.clock.skew * 1e12;
+}
+
+/// Post-route sizing on routed parasitics (placement is frozen).
+void runPostRouteOpt(FlowOutput& out, const FlowOptions& opt, const PipelineFlags& flags,
+                     std::ostringstream& trace, obs::ScopedPhase& phase) {
+  if (!flags.postRouteOpt) {
     M3D_LOG(debug) << "post-route opt skipped";
+    return;
   }
-  saveStage(5);
-  }
-  }
+  Netlist& nl = out.tile->netlist;
+  RoutedParasitics provider(*out.grid, out.routes);
+  // Placement is frozen from here on: sizing must not create overlaps.
+  OptimizerOptions guarded = opt.optBase;
+  guarded.resizeGuard = frozenFootprintGuard(nl, out.fp);
+  const int presized = presizeForLoad(nl, out.paras, provider, 130e-12, guarded.resizeGuard);
+  trace << "post-route presize: resized=" << presized << "\n";
+  const MaxFreqOptResult r =
+      optimizeForTimingGoal(nl, out.paras, provider, &out.clock, guarded, opt);
+  out.metrics.cellsResized += r.cellsResized;
+  out.metrics.buffersInserted += r.buffersInserted;
+  phase.attr("cells_resized", r.cellsResized);
+  trace << "post-route opt: resized=" << r.cellsResized << "\n";
+  M3D_LOG(info) << "post-route opt done: resized=" << r.cellsResized;
+}
 
-  // --- Sign-off STA + power -------------------------------------------------------
+/// Sign-off STA + power, then independent physical verification.
+void runSignoff(FlowOutput& out, const FlowOptions& opt, const PipelineFlags&,
+                std::ostringstream& trace, obs::ScopedPhase& phase) {
+  const Netlist& nl = out.tile->netlist;
+  double minPeriod = 0.0;
+  double signoffPeriod = 0.0;
+  TimingReport rep;
   {
-  obs::ScopedPhase signoffPhase(kPipelineStageNames[6]);  // signoff
-  if (cache.enabled()) signoffPhase.attr("cache_hit", stageRestored(6) ? 1.0 : 0.0);
-  if (!stageRestored(6)) {
-  Sta sta(nl, out.paras, &out.clock, opt.signoffCorner, opt.numThreads);
-  double minPeriod = sta.findMinPeriod();
-  if (!std::isfinite(minPeriod)) {
-    // No feasible period (see Sta::kInfeasiblePeriod): report at the target
-    // instead of poisoning the metrics JSON with inf.
-    M3D_LOG(warn) << "signoff: no feasible period; reporting timing at the target period";
-    trace << "WARN signoff: no feasible period\n";
-    minPeriod = opt.targetPeriodNs * 1e-9;
+    obs::ScopedPhase staPhase("signoff.sta");
+    Sta sta(nl, out.paras, &out.clock, opt.signoffCorner, opt.numThreads);
+    minPeriod = sta.findMinPeriod();
+    if (!std::isfinite(minPeriod)) {
+      // No feasible period (see Sta::kInfeasiblePeriod): report at the target
+      // instead of poisoning the metrics JSON with inf.
+      M3D_LOG(warn) << "signoff: no feasible period; reporting timing at the target period";
+      trace << "WARN signoff: no feasible period\n";
+      minPeriod = opt.targetPeriodNs * 1e-9;
+    }
+    signoffPeriod =
+        opt.maxPerformance ? minPeriod : std::max(minPeriod, opt.targetPeriodNs * 1e-9);
+    rep = sta.analyze(signoffPeriod);
   }
-  const double signoffPeriod =
-      opt.maxPerformance ? minPeriod : std::max(minPeriod, opt.targetPeriodNs * 1e-9);
-  const TimingReport rep = sta.analyze(signoffPeriod);
   const double freq = 1.0 / signoffPeriod;
-
-  const PowerReport pwr = analyzePower(nl, out.paras, out.logicTech.vdd, freq);
+  PowerReport pwr;
+  {
+    obs::ScopedPhase powerPhase("signoff.power");
+    pwr = analyzePower(nl, out.paras, out.logicTech.vdd, freq);
+  }
 
   DesignMetrics& m = out.metrics;
   m.fclkMhz = freq * 1e-6;
@@ -741,8 +626,8 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
   m.critPathWirelengthMm = displayMm(rep.critPathWirelengthUm);
   m.overflowedEdges = out.routes.overflowedEdges;
   m.unroutedNets = out.routes.unroutedNets;
-  signoffPhase.attr("fclk_mhz", m.fclkMhz);
-  signoffPhase.attr("emean_fj", m.emeanFj);
+  phase.attr("fclk_mhz", m.fclkMhz);
+  phase.attr("emean_fj", m.emeanFj);
   obs::gauge("signoff.fclk_mhz").set(m.fclkMhz);
   obs::gauge("signoff.emean_fj").set(m.emeanFj);
   trace << "signoff: fclk_MHz=" << m.fclkMhz << " Emean_fJ=" << m.emeanFj
@@ -750,25 +635,273 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
   M3D_LOG(info) << "signoff done: fclk_MHz=" << m.fclkMhz << " Emean_fJ=" << m.emeanFj
                 << " critWL_mm=" << m.critPathWirelengthMm;
 
-  // --- Independent physical verification (signoff verdict) -----------------
-  if (opt.signoff) {
-    obs::ScopedPhase verifyPhase("verify");
-    VerifyOptions vopt = opt.verify;
-    if (vopt.numThreads == 0) vopt.numThreads = opt.numThreads;
-    out.verify = verifyDesign(nl, out.fp, *out.grid, out.routes, vopt);
-    m.verifyViolations = static_cast<int>(out.verify.errors);
-    m.verifyWarnings = static_cast<int>(out.verify.warnings);
-    m.f2fBumpCount = out.verify.f2fBumpCount;
-    verifyPhase.attr("errors", static_cast<double>(out.verify.errors));
-    verifyPhase.attr("warnings", static_cast<double>(out.verify.warnings));
-    verifyPhase.attr("f2f_bumps", static_cast<double>(out.verify.f2fBumpCount));
-    trace << "verify: " << out.verify.verdictLine() << "\n";
-    M3D_LOG(info) << "signoff verdict: " << out.verify.verdictLine();
-  }
-  saveStage(6);
-  }
-  }
+  if (!opt.signoff) return;
+  obs::ScopedPhase verifyPhase("verify");
+  VerifyOptions vopt = opt.verify;
+  if (vopt.numThreads == 0) vopt.numThreads = opt.numThreads;
+  out.verify = verifyDesign(nl, out.fp, *out.grid, out.routes, vopt);
+  m.verifyViolations = static_cast<int>(out.verify.errors);
+  m.verifyWarnings = static_cast<int>(out.verify.warnings);
+  m.f2fBumpCount = out.verify.f2fBumpCount;
+  verifyPhase.attr("errors", static_cast<double>(out.verify.errors));
+  verifyPhase.attr("warnings", static_cast<double>(out.verify.warnings));
+  verifyPhase.attr("f2f_bumps", static_cast<double>(out.verify.f2fBumpCount));
+  trace << "verify: " << out.verify.verdictLine() << "\n";
+  M3D_LOG(info) << "signoff verdict: " << out.verify.verdictLine();
+}
 
+/// The timing goal optimizeForTimingGoal reads; signoff reports at it too.
+void hashTimingGoal(HashStream& h, const FlowOptions& opt) {
+  h.b(opt.maxPerformance);
+  h.f64(opt.targetPeriodNs);
+  h.i32(opt.maxFreqRounds);
+}
+
+/// One pipeline stage: its name, its cache key and its body. The key hashes
+/// exactly what the body reads beyond what the chain already covers -- the
+/// pipeline entry state (the root hash) and every earlier stage's inputs
+/// (the previous key). Thread counts never enter a key: results are
+/// bit-identical at any count.
+struct PipelineStage {
+  const char* name;
+  void (*key)(HashStream& h, const FlowOutput& out, const FlowOptions& opt,
+              const PipelineFlags& flags);
+  void (*body)(FlowOutput& out, const FlowOptions& opt, const PipelineFlags& flags,
+               std::ostringstream& trace, obs::ScopedPhase& phase);
+};
+
+constexpr PipelineStage kPipeline[] = {
+    {"place",
+     [](HashStream& h, const FlowOutput&, const FlowOptions& opt, const PipelineFlags& flags) {
+       h.b(flags.inheritPlacement);
+       h.str(placeEngineName(opt.placer.engine));
+       h.i32(opt.placer.maxIters);
+       h.f64(opt.placer.legalizer.cellWidthScale);
+     },
+     runPlace},
+    {"pre_route_opt",
+     [](HashStream& h, const FlowOutput& out, const FlowOptions& opt,
+        const PipelineFlags& flags) {
+       h.b(flags.preRouteOpt);
+       if (!flags.preRouteOpt) return;
+       const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
+       h.f64(eopt.rPerUm);
+       h.f64(eopt.cPerUm);
+       hashTimingGoal(h, opt);
+       h.i32(opt.optBase.maxPasses);
+     },
+     runPreRouteOpt},
+    {"cts",
+     [](HashStream& h, const FlowOutput&, const FlowOptions& opt, const PipelineFlags&) {
+       h.i32(opt.cts.maxSinksPerLeaf);
+     },
+     runCts},
+    // The full BEOL first enters the chain here: a bump-pitch or macro-die
+    // stack change re-keys route and everything after it, nothing above.
+    {"route",
+     [](HashStream& h, const FlowOutput& out, const FlowOptions& opt, const PipelineFlags&) {
+       h.u64(db::hashBeol(out.routingBeol));
+       h.f64(opt.grid.trackUtilization);
+       h.f64(opt.grid.m1Utilization);
+       h.i32(opt.router.maxIterations);
+       h.f64(opt.router.f2fViaCost);
+       h.i32(opt.router.batchSize);
+       h.i32(opt.router.searchHaloGcells);
+       // The ECO seed's routes are a route input, so its content enters the
+       // key (an unreadable path hashes as the path: the stage then warns
+       // and runs a full route).
+       h.b(!opt.ecoRouteFrom.empty());
+       if (opt.ecoRouteFrom.empty()) return;
+       std::vector<std::uint8_t> bytes;
+       if (io::readFileBytes(opt.ecoRouteFrom, bytes)) {
+         h.u64(db::fnv1a64(bytes.data(), bytes.size()));
+       } else {
+         h.str(opt.ecoRouteFrom);
+       }
+     },
+     runRoute},
+    // A pure function of the routes and the BEOL, both already in the chain.
+    {"extract",
+     [](HashStream&, const FlowOutput&, const FlowOptions&, const PipelineFlags&) {},
+     runExtract},
+    {"post_route_opt",
+     [](HashStream& h, const FlowOutput&, const FlowOptions& opt, const PipelineFlags& flags) {
+       h.b(flags.postRouteOpt);
+       if (!flags.postRouteOpt) return;
+       hashTimingGoal(h, opt);
+       // The stage installs its own resizeGuard, from state already in the chain.
+       h.i32(opt.optBase.maxPasses);
+     },
+     runPostRouteOpt},
+    {"signoff",
+     [](HashStream& h, const FlowOutput& out, const FlowOptions& opt, const PipelineFlags&) {
+       h.str(opt.signoffCorner.name == nullptr ? "" : opt.signoffCorner.name);
+       h.f64(opt.signoffCorner.delayDerate);
+       hashTimingGoal(h, opt);
+       h.f64(out.logicTech.vdd);
+       h.b(opt.signoff);
+       h.b(opt.verify.drc);
+       h.b(opt.verify.connectivity);
+       h.b(opt.verify.placement);
+       h.b(opt.verify.f2f);
+     },
+     runSignoff},
+};
+constexpr int kNumStages = static_cast<int>(std::size(kPipeline));
+/// The stage that builds out.grid: a restore at or past it rebuilds the grid.
+constexpr int kRouteStage = 3;
+
+static_assert(
+    [] {
+      if (std::size(kPipeline) != std::size(kPipelineStageNames)) return false;
+      for (std::size_t i = 0; i < std::size(kPipeline); ++i) {
+        if (std::string_view(kPipeline[i].name) != kPipelineStageNames[i]) return false;
+      }
+      return std::string_view(kPipeline[kRouteStage].name) == "route";
+    }(),
+    "kPipeline must list the stages of kPipelineStageNames, in order");
+
+/// Restores the deepest stage the cache holds (scanning from signoff down)
+/// into \p out and appends its checkpointed step log to \p trace. Returns
+/// the number of leading stages restored: 0 on a miss, and on a failed
+/// restore, whose corrupt entry is dropped so this run's recompute
+/// re-publishes a good copy (the single-winner publish would otherwise keep
+/// skipping the existing bytes, shadowing the key with garbage forever).
+int restoreCachedPrefix(db::StageCache& cache, const std::array<std::uint64_t, 7>& keys,
+                        FlowOutput& out, const FlowOptions& opt, std::ostringstream& trace) {
+  int deepest = kNumStages - 1;
+  while (deepest >= 0 && !cache.has(deepest, kPipeline[deepest].name, keys[deepest])) --deepest;
+  if (deepest < 0) return 0;
+  obs::ScopedPhase span("db.restore");
+  const std::string path = cache.path(deepest, kPipeline[deepest].name, keys[deepest]);
+  std::string restoredTrace;
+  const db::DbStatus st = restoreStageCheckpoint(path, out, restoredTrace);
+  if (!st.ok()) {
+    obs::counter("db.stage_cache_restore_failures").add(1);
+    M3D_LOG(warn) << "stage cache: restore failed (" << db::dbErrorName(st.error) << ": "
+                  << st.detail << "); recomputing from scratch";
+    cache.removeEntry(path);
+    return 0;
+  }
+  trace << restoredTrace;
+  obs::counter("db.stage_cache_hits").add(deepest + 1);
+  cache.noteUsed(path);  // LRU touch under the shared-cache index lock
+  if (const std::int64_t bytes = io::fileSizeBytes(path); bytes > 0) {
+    obs::counter("db.stage_cache_bytes_read").add(bytes);
+  }
+  M3D_LOG(info) << "stage cache: restored through '" << kPipeline[deepest].name << "' from "
+                << path;
+  if (deepest >= kRouteStage) {
+    // The RouteGrid is rebuilt, never serialized: it is a pure function of
+    // the fixed macros, die, BEOL and grid options, and post-route sizing
+    // only touches non-fixed cells, so the rebuild is bit-identical to the
+    // grid the routes were committed on.
+    out.grid =
+        std::make_unique<RouteGrid>(out.tile->netlist, out.fp.die, out.routingBeol, opt.grid);
+  }
+  return deepest + 1;
+}
+
+/// Publishes a stage checkpoint. Single winner: when a concurrent job
+/// already published this key (entries are content-addressed and the flows
+/// deterministic, so the bytes are identical), the write is skipped and
+/// the entry's LRU slot touched.
+void publishCheckpoint(db::StageCache& cache, const std::string& path, const FlowOutput& out,
+                       const std::string& trace, int stageIdx, std::uint64_t key) {
+  obs::ScopedPhase span("db.save");
+  if (io::fileExists(path)) {
+    cache.noteUsed(path);
+    return;
+  }
+  const db::DbStatus st = saveStageCheckpoint(out, trace, stageIdx, key, path);
+  if (!st.ok()) {
+    M3D_LOG(warn) << "stage cache: checkpoint write failed (" << db::dbErrorName(st.error)
+                  << ": " << st.detail << ")";
+    return;
+  }
+  obs::counter("db.stage_checkpoints_written").add(1);
+  if (const std::int64_t bytes = io::fileSizeBytes(path); bytes > 0) {
+    obs::counter("db.stage_cache_bytes_written").add(bytes);
+  }
+  cache.noteStored(path);  // index entry + LRU eviction under the budget
+}
+
+}  // namespace
+
+std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowOptions& opt,
+                                              const PipelineFlags& flags) {
+  // Root: the pipeline entry state every stage transitively depends on.
+  HashStream root;
+  root.u32(kStageKeyVersion);
+  root.u64(db::hashLibrary(*out.lib));
+  root.u64(db::hashNetlist(out.tile->netlist));
+  root.u64(db::hashFloorplan(out.fp));
+  root.u64(db::hashTileGroups(out.tile->groups));
+  std::array<std::uint64_t, 7> keys{};
+  std::uint64_t prev = root.digest();
+  for (int i = 0; i < kNumStages; ++i) {
+    HashStream h;
+    h.u64(prev);
+    h.str(kPipeline[i].name);
+    kPipeline[i].key(h, out, opt, flags);
+    keys[i] = prev = h.digest();
+  }
+  return keys;
+}
+
+void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFlags& flags,
+                    std::ostringstream& callerTrace) {
+  // Resolved before the stage keys are computed: the keys hash the
+  // effective knobs. Report the resolved thread count once so run reports
+  // record what the machine actually used.
+  const FlowOptions opt = resolveFlowOptions(optIn);
+  obs::gauge("parallel.threads").set(static_cast<double>(par::resolveThreads(opt.numThreads)));
+
+  // Stage cache: content keys are computed once at pipeline entry; with
+  // resume enabled, the longest cached prefix is restored from disk and the
+  // remaining stages run as usual, saving their own checkpoints.
+  std::string cacheDir = opt.checkpointDir;
+  if (cacheDir.empty()) {
+    if (const char* env = std::getenv("M3D_CHECKPOINT_DIR")) cacheDir = env;
+  }
+  db::StageCacheOptions cacheOpt;
+  cacheOpt.maxBytes = opt.cacheMaxBytes;
+  if (cacheOpt.maxBytes == 0) {
+    long budget = 0;
+    if (envLong("M3D_CACHE_MAX_BYTES", 0, &budget)) cacheOpt.maxBytes = budget;
+  }
+  db::StageCache cache(cacheDir, opt.resume, cacheOpt);
+  std::array<std::uint64_t, 7> keys{};
+  const auto pathOf = [&](int i) { return cache.path(i, kPipeline[i].name, keys[i]); };
+
+  // Pipeline-local trace: checkpointed with each stage, so a restored run
+  // replays the exact step log the cold run produced; appended to the
+  // caller's trace when the pipeline finishes.
+  std::ostringstream trace;
+  int restored = 0;  // leading stages restored from the cache
+  if (cache.enabled()) {
+    {
+      obs::ScopedPhase span("db.keys");
+      keys = computeStageKeys(out, opt, flags);
+    }
+    out.finalCheckpointPath = pathOf(kNumStages - 1);
+    if (cache.resumeEnabled()) restored = restoreCachedPrefix(cache, keys, out, opt, trace);
+    obs::counter("db.stage_cache_misses").add(kNumStages - restored);
+  }
+  out.cacheRestoredStages = restored;
+
+  // One span per stage, for every flow: restored and skipped stages still
+  // open theirs, so run reports compare across flows and cache states.
+  for (int i = 0; i < kNumStages; ++i) {
+    const PipelineStage& stage = kPipeline[i];
+    obs::ScopedPhase phase(stage.name);
+    if (cache.enabled()) phase.attr("cache_hit", i < restored ? 1.0 : 0.0);
+    if (i < restored) continue;
+    stage.body(out, opt, flags, trace, phase);
+    if (cache.enabled()) {
+      publishCheckpoint(cache, pathOf(i), out, trace.str(), i, keys[i]);
+    }
+  }
   callerTrace << trace.str();
 }
 

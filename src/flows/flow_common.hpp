@@ -274,6 +274,15 @@ struct PipelineFlags {
 /// the result on, so every stage of the run sees the same knobs.
 FlowOptions resolveFlowOptions(const FlowOptions& opt);
 
+/// Optimizes \p nl toward the flow's timing goal: the max-frequency
+/// schedule (FlowOptions::maxFreqRounds) in max-performance mode, else one
+/// optimization to FlowOptions::targetPeriodNs (base.targetPeriod is
+/// overwritten either way). Only the max-frequency schedule reports
+/// minPeriod.
+MaxFreqOptResult optimizeForTimingGoal(Netlist& nl, std::vector<NetParasitics>& paras,
+                                       ParasiticsProvider& provider, const ClockModel* clock,
+                                       OptimizerOptions base, const FlowOptions& opt);
+
 /// Runs the common pipeline on out.tile->netlist over out.fp/out.routingBeol
 /// and fills out.metrics (except flow/tile names and footprint fields, which
 /// the caller owns). \p trace accumulates step logs.

@@ -108,7 +108,6 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& optIn, FlowKi
   // S2D's 50% cell shrink): the pseudo placement then maps onto the F2F
   // footprint with legal full-size spacing.
   LegalizerOptions pseudoLopt;
-  pseudoLopt.partialBlockageResolution = opt.partialBlockageResolution;
   pseudoLopt.cellWidthScale = std::sqrt(2.0);
   stage.emplace("pseudo_place");
   {
@@ -143,17 +142,8 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& optIn, FlowKi
     std::vector<NetParasitics> paras = estimateDesign(nl, eopt);
     const int presized = presizeForLoad(nl, paras, provider);
     trace << "pseudo presize: resized=" << presized << "\n";
-    MaxFreqOptResult r;
-    if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, paras, provider, nullptr, opt.optBase,
-                                  opt.maxFreqRounds);
-    } else {
-      OptimizerOptions o = opt.optBase;
-      o.targetPeriod = opt.targetPeriodNs * 1e-9;
-      const OptimizeResult res = optimizeTiming(nl, paras, provider, nullptr, o);
-      r.cellsResized = res.cellsResized;
-      r.buffersInserted = res.buffersInserted;
-    }
+    const MaxFreqOptResult r =
+        optimizeForTimingGoal(nl, paras, provider, nullptr, opt.optBase, opt);
     out.metrics.cellsResized += r.cellsResized;
     out.metrics.buffersInserted += r.buffersInserted;
     trace << "pseudo opt: resized=" << r.cellsResized << " buffers=" << r.buffersInserted

@@ -166,6 +166,24 @@ TileConfig makeLargeCacheTileConfig() {
   return cfg;
 }
 
+TileConfig makeTinyTileConfig() {
+  TileConfig cfg;
+  cfg.name = "tiny";
+  cfg.cache = CacheConfig{2, 2, 4, 8};
+  cfg.coreGates = 350;
+  cfg.coreRegs = 70;
+  cfg.l1CtrlGates = 40;
+  cfg.l1CtrlRegs = 10;
+  cfg.l2CtrlGates = 60;
+  cfg.l2CtrlRegs = 14;
+  cfg.l3CtrlGates = 80;
+  cfg.l3CtrlRegs = 18;
+  cfg.nocGates = 60;
+  cfg.nocRegs = 14;
+  cfg.nocDataBits = 3;
+  return cfg;
+}
+
 Tile generateTile(Library& lib, const TechNode& tech, const TileConfig& cfg) {
   Tile tile(&lib);
   tile.config = cfg;

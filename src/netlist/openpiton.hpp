@@ -64,6 +64,10 @@ struct TileConfig {
 TileConfig makeSmallCacheTileConfig();
 /// The paper's modern/large-cache tile: 16 KB L1I+L1D, 128 KB L2, 1 MB L3.
 TileConfig makeLargeCacheTileConfig();
+/// A tiny tile ("tiny": 2/2/4/8 KB caches, a few hundred gates per block)
+/// whose whole flow runs in well under a second: the tests, the smoke
+/// benches and m3d_serve's "tiny" jobs use it.
+TileConfig makeTinyTileConfig();
 
 /// Instance-group bookkeeping for floorplanning/reporting.
 struct TileGroups {

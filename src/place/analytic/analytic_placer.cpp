@@ -285,7 +285,6 @@ PlaceResult analyticGlobalPlace(Netlist& nl, const Floorplan& fp, const PlacerOp
     inst.pos = Point{std::clamp<Dbu>(umToDbu(ux[s]), fp.die.xlo, fp.die.xhi),
                      std::clamp<Dbu>(umToDbu(uy[s]), fp.die.ylo, fp.die.yhi)};
   }
-  result.quadraticHpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
   result.legal = legalize(nl, fp, opt.legalizer);
   if (!result.legal.success) {
     // One retry, on the first pass's output. The legalizer already searches

@@ -409,15 +409,8 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
       solveBoth();
     }
 
-    // Record the quadratic solution, spread it to legal density, legalize,
-    // and read the result back as anchors.
-    for (int v = 0; v < n; ++v) {
-      Instance& inst = nl.instance(movable[static_cast<std::size_t>(v)]);
-      const Dbu px = std::clamp<Dbu>(umToDbu(x[static_cast<std::size_t>(v)]), fp.die.xlo, fp.die.xhi);
-      const Dbu py = std::clamp<Dbu>(umToDbu(y[static_cast<std::size_t>(v)]), fp.die.ylo, fp.die.yhi);
-      inst.pos = Point{px, py};
-    }
-    result.quadraticHpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
+    // Spread the quadratic solution to legal density, legalize, and read
+    // the result back as anchors.
     {
       obs::ScopedPhase diffusePhase("place.diffuse");
       std::vector<double> sx(x);

@@ -53,7 +53,6 @@ struct PlacerOptions {
 struct PlaceResult {
   bool success = false;
   double hpwlUm = 0.0;          ///< total HPWL after legalization [um].
-  double quadraticHpwlUm = 0.0; ///< HPWL of the last pre-legalization solution.
   int iterations = 0;
   /// Engine that produced the result (serialized into the metrics codec).
   PlaceEngine engine = PlaceEngine::kB2B;

@@ -21,6 +21,7 @@ std::uint64_t JobQueue::submit(const JobSpec& spec) {
     job->state = JobState::kCancelled;
     job->error = "server is shutting down";
     ++stats_.cancelled;
+    retireLocked(job->id);
   } else {
     pending_.push_back(job);
     ++stats_.queued;
@@ -98,6 +99,7 @@ void JobQueue::complete(std::uint64_t jobId, bool ok, const JobResult& result,
     job.error = error;
     ++stats_.failed;
   }
+  retireLocked(jobId);
   cv_.notify_all();
 }
 
@@ -112,8 +114,18 @@ bool JobQueue::cancel(std::uint64_t jobId) {
     --stats_.queued;
   }
   ++stats_.cancelled;
+  retireLocked(jobId);
   cv_.notify_all();
   return true;
+}
+
+void JobQueue::retireLocked(std::uint64_t jobId) {
+  finished_.push_back(jobId);
+  while (finished_.size() > kMaxFinishedJobs) {
+    // A waiter holds its own reference, so forgetting never frees its job.
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
 }
 
 std::shared_ptr<const Job> JobQueue::find(std::uint64_t jobId) const {
@@ -144,6 +156,7 @@ void JobQueue::close() {
     job->error = "server shut down before the job ran";
     ++stats_.cancelled;
     --stats_.queued;
+    retireLocked(job->id);
   }
   pending_.clear();
   cv_.notify_all();

@@ -70,6 +70,12 @@ struct QueueStats {
 
 class JobQueue {
  public:
+  /// Terminal (done, failed or cancelled) jobs the queue remembers for
+  /// find/waitJob. Past this many the oldest-finished is forgotten, and its
+  /// id then answers like an unknown one, so a long-lived daemon's job table
+  /// stays bounded. Queued and running jobs are never forgotten.
+  static constexpr std::size_t kMaxFinishedJobs = 1024;
+
   /// Submits a job; returns its id (ids start at 1). The spec must already
   /// have passed JobSpec::validate().
   std::uint64_t submit(const JobSpec& spec);
@@ -92,7 +98,7 @@ class JobQueue {
   /// kCancelled; false when unknown, already running or terminal.
   bool cancel(std::uint64_t jobId);
 
-  /// Snapshot of a job by id (nullptr when unknown).
+  /// Snapshot of a job by id (nullptr when unknown or forgotten).
   std::shared_ptr<const Job> find(std::uint64_t jobId) const;
 
   /// Blocks until the job is terminal or \p timeoutMs elapses (<= 0 waits
@@ -118,13 +124,18 @@ class JobQueue {
   /// then submit order, skipping jobs whose batch is busy); npos when none.
   std::size_t pickLocked() const;
 
+  /// Records under mu_ that \p jobId just became terminal, forgetting the
+  /// oldest-finished jobs past kMaxFinishedJobs.
+  void retireLocked(std::uint64_t jobId);
+
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::uint64_t nextId_ = 1;
   std::uint64_t nextSeq_ = 1;
   bool closed_ = false;
   std::vector<std::shared_ptr<Job>> pending_;  ///< queued jobs, submit order.
-  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  ///< all jobs by id.
+  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  ///< remembered jobs by id.
+  std::deque<std::uint64_t> finished_;         ///< terminal job ids, oldest first.
   std::map<std::uint64_t, Batch> batches_;     ///< by baseKey.
   QueueStats stats_;
 };

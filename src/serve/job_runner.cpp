@@ -17,27 +17,6 @@ namespace m3d::serve {
 
 namespace {
 
-/// The test-scale tile (mirrors the tiny tile the db/serve test suites use):
-/// small enough that a full Macro-3D run takes well under a second, yet it
-/// exercises every pipeline stage including SRAM macros and all three NoCs.
-TileConfig tinyTileConfig() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 int shrinkDiv(int v, int s) { return v / s > 0 ? v / s : 1; }
 
 /// FNV-1a over a whole file; false when unreadable.
@@ -57,7 +36,7 @@ TileConfig tileConfigFor(const std::string& tile, int shrink) {
   } else if (tile == "large") {
     cfg = makeLargeCacheTileConfig();
   } else {
-    cfg = tinyTileConfig();
+    cfg = makeTinyTileConfig();
   }
   if (shrink > 1) {
     cfg.name += "-s" + std::to_string(shrink);

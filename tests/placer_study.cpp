@@ -46,8 +46,7 @@ int main() {
     popt.maxIters = iters;
     popt.useExistingPositions = true;
     const PlaceResult pr = globalPlace(nl, fp, popt);
-    std::cout << "iters=" << iters << " hpwl_um=" << pr.hpwlUm
-              << " quad_hpwl_um=" << pr.quadraticHpwlUm << " usedIters=" << pr.iterations
+    std::cout << "iters=" << iters << " hpwl_um=" << pr.hpwlUm << " usedIters=" << pr.iterations
               << "\n";
 
     if (iters == 16) {

@@ -7,9 +7,12 @@
 /// (place.hpwl, route.f2f_bumps, sta.wns_ps) populated. The trace must
 /// carry the stage spans as 'X' events on the flow track, pool.task events
 /// on at least two distinct worker tracks, and counter tracks for the
-/// placer HPWL and router overflow series.
+/// placer HPWL and router overflow series. With the stage cache on, the
+/// leaf spans that attribute checkpoint I/O (db.keys, db.save, db.restore),
+/// repeater insertion and signoff STA/power must be present too.
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -30,28 +33,6 @@ void check(bool ok, const std::string& what) {
     std::cerr << "FAIL: " << what << "\n";
   }
 }
-
-m3d::TileConfig tinyConfig() {
-  m3d::TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = m3d::CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
-}  // namespace
-
-namespace {
 
 /// Parses the Chrome trace written by the flow and asserts the acceptance
 /// properties: well-formed, monotone timestamps, pid/tid on every event,
@@ -123,6 +104,21 @@ void checkTrace(const std::string& tracePath) {
         "counter track 'route.iter_overflow' present");
 }
 
+/// The direct child of \p span named \p name (nullptr when absent).
+const m3d::obs::Span* child(const m3d::obs::Span& span, const std::string& name) {
+  for (const m3d::obs::Span& c : span.children) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+/// Asserts that \p parent has a direct child span named \p name.
+void checkChild(const m3d::obs::Span* parent, const std::string& parentName,
+                const std::string& name) {
+  check(parent != nullptr && child(*parent, name) != nullptr,
+        "span '" + name + "' under '" + parentName + "'");
+}
+
 }  // namespace
 
 int main() {
@@ -133,13 +129,16 @@ int main() {
 
   const std::string path = "smoke_run_report.json";
   const std::string tracePath = "smoke_run_report.trace.json";
+  const std::string cacheDir = "smoke_run_report.cache";
+  std::filesystem::remove_all(cacheDir);
   FlowOptions opt;
   opt.maxFreqRounds = 2;
   opt.optBase.maxPasses = 6;
   opt.report.jsonPath = path;
   opt.traceOut = tracePath;
+  opt.checkpointDir = cacheDir;
 
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), opt);
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), opt);
 
   // The in-memory report mirrors what was written.
   check(out.report.flow == "Macro-3D", "report.flow is Macro-3D");
@@ -205,6 +204,28 @@ int main() {
   }
 
   checkTrace(tracePath);
+
+  // Leaf spans of the cold run: key hashing, one checkpoint save per stage,
+  // repeater insertion, and signoff STA and power.
+  const obs::Span& root = out.report.root;
+  checkChild(&root, "root", "db.keys");
+  for (const char* stage : kPipelineStageNames) checkChild(child(root, stage), stage, "db.save");
+  checkChild(child(root, "place"), "place", "place.repeaters");
+  checkChild(child(root, "signoff"), "signoff", "signoff.sta");
+  checkChild(child(root, "signoff"), "signoff", "signoff.power");
+
+  // An ECO run seeded from the cold run's signoff checkpoint re-keys the
+  // route stage onward: it restores the place/pre_route_opt/cts prefix and
+  // loads its seed, each in a db.restore span.
+  FlowOptions eco = opt;
+  eco.report.jsonPath.clear();
+  eco.traceOut.clear();
+  eco.ecoRouteFrom = out.finalCheckpointPath;
+  const FlowOutput ecoOut = runFlowMacro3D(makeTinyTileConfig(), eco);
+  check(ecoOut.cacheRestoredStages == 3, "ECO run restores the 3-stage prefix");
+  checkChild(&ecoOut.report.root, "root", "db.restore");
+  checkChild(child(ecoOut.report.root, "route"), "route", "db.restore");
+  std::filesystem::remove_all(cacheDir);
 
   if (gFailures == 0) {
     std::cout << "smoke_run_report: OK (" << path << ", " << tracePath << ")\n";

@@ -397,24 +397,6 @@ TEST(DbStageCache, PathIsContentAddressedAndHasChecksExistence) {
 // ---------------------------------------------------------------------------
 // Flow-level stage cache + ECO (slow; FlowDb* matches the "slow" label)
 
-TileConfig dbTinyConfig() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 FlowOptions dbTinyOptions() {
   FlowOptions opt;
   opt.maxFreqRounds = 2;
@@ -440,6 +422,33 @@ struct CacheCounters {
   }
 };
 
+// A restore that fails on a malformed section must leave the live state
+// untouched: the pipeline then recomputes from scratch on it, so a
+// half-restored netlist would silently change the recomputed result.
+TEST(DbCheckpoint, FailedRestoreLeavesTheLiveStateUntouched) {
+  std::ostringstream trace;
+  FlowOutput live = macro3dEntryState(makeTinyTileConfig(), dbTinyOptions(), trace);
+  // A checkpoint of another netlist state (one cell moved) whose clock
+  // section is malformed but correctly hashed.
+  FlowOutput other = macro3dEntryState(makeTinyTileConfig(), dbTinyOptions(), trace);
+  Netlist& otherNl = other.tile->netlist;
+  InstId moved = 0;
+  while (otherNl.instance(moved).fixed) ++moved;
+  otherNl.instance(moved).pos.x += 1000;
+  const std::string path = tempPath("m3d_failed_restore.m3ddb");
+  ASSERT_TRUE(saveStageCheckpoint(other, "", 0, 1, path).ok());
+  db::DesignDb dbFile;
+  ASSERT_TRUE(dbFile.loadFile(path).ok());
+  dbFile.setSection("clock", {0x01});  // truncated: fails to decode
+  ASSERT_TRUE(dbFile.saveFile(path).ok());
+
+  const std::uint64_t netlistBefore = db::hashNetlist(live.tile->netlist);
+  std::string restoredTrace;
+  EXPECT_EQ(restoreStageCheckpoint(path, live, restoredTrace).error, db::DbError::kMalformed);
+  EXPECT_EQ(db::hashNetlist(live.tile->netlist), netlistBefore);
+  fs::remove(path);
+}
+
 TEST(FlowDbCache, WarmRerunRestoresAllStagesBitIdentical) {
   const std::string dir = tempPath("m3d_flowdb_warm");
   fs::remove_all(dir);
@@ -448,14 +457,14 @@ TEST(FlowDbCache, WarmRerunRestoresAllStagesBitIdentical) {
   opt.checkpointDir = dir;
 
   const CacheCounters c0 = CacheCounters::read();
-  const FlowOutput cold = runFlowMacro3D(dbTinyConfig(), opt);
+  const FlowOutput cold = runFlowMacro3D(makeTinyTileConfig(), opt);
   const CacheCounters c1 = CacheCounters::read();
   EXPECT_EQ(c1.hits - c0.hits, 0.0);
   EXPECT_EQ(c1.misses - c0.misses, 7.0);
   EXPECT_EQ(c1.writes - c0.writes, 7.0);
   EXPECT_EQ(checkpointFileCount(dir), 7);
 
-  const FlowOutput warm = runFlowMacro3D(dbTinyConfig(), opt);
+  const FlowOutput warm = runFlowMacro3D(makeTinyTileConfig(), opt);
   const CacheCounters c2 = CacheCounters::read();
   EXPECT_EQ(c2.hits - c1.hits, 7.0);  // the whole pipeline restored
   EXPECT_EQ(c2.misses - c1.misses, 0.0);
@@ -480,7 +489,7 @@ TEST(FlowDbCache, BumpPitchEcoReusesPreRouteStages) {
 
   FlowOptions opt = dbTinyOptions();
   opt.checkpointDir = dir;
-  (void)runFlowMacro3D(dbTinyConfig(), opt);  // warm the cache
+  (void)runFlowMacro3D(makeTinyTileConfig(), opt);  // warm the cache
   ASSERT_EQ(checkpointFileCount(dir), 7);
 
   // ECO: double the F2F bump pitch. The combined BEOL first enters the key
@@ -489,7 +498,7 @@ TEST(FlowDbCache, BumpPitchEcoReusesPreRouteStages) {
   FlowOptions eco = opt;
   eco.f2fVia.pitch *= 2;
   const CacheCounters c0 = CacheCounters::read();
-  const FlowOutput inc = runFlowMacro3D(dbTinyConfig(), eco);
+  const FlowOutput inc = runFlowMacro3D(makeTinyTileConfig(), eco);
   const CacheCounters c1 = CacheCounters::read();
   EXPECT_EQ(c1.hits - c0.hits, 3.0);    // place, pre_route_opt, cts
   EXPECT_EQ(c1.misses - c0.misses, 4.0);  // route..signoff
@@ -500,7 +509,7 @@ TEST(FlowDbCache, BumpPitchEcoReusesPreRouteStages) {
   // ECO'd configuration.
   FlowOptions ecoCold = eco;
   ecoCold.checkpointDir.clear();
-  const FlowOutput cold = runFlowMacro3D(dbTinyConfig(), ecoCold);
+  const FlowOutput cold = runFlowMacro3D(makeTinyTileConfig(), ecoCold);
   EXPECT_EQ(inc.verify, cold.verify);
   EXPECT_EQ(inc.metrics.fclkMhz, cold.metrics.fclkMhz);
   EXPECT_EQ(inc.metrics.emeanFj, cold.metrics.emeanFj);
@@ -515,7 +524,7 @@ TEST(FlowDbCache, SearchHaloEcoRecomputesRouteOnward) {
 
   FlowOptions opt = dbTinyOptions();
   opt.checkpointDir = dir;
-  (void)runFlowMacro3D(dbTinyConfig(), opt);  // warm the cache
+  (void)runFlowMacro3D(makeTinyTileConfig(), opt);  // warm the cache
   ASSERT_EQ(checkpointFileCount(dir), 7);
 
   // ECO: widen the router's search window. The search-kernel knobs enter
@@ -524,7 +533,7 @@ TEST(FlowDbCache, SearchHaloEcoRecomputesRouteOnward) {
   FlowOptions eco = opt;
   eco.router.searchHaloGcells = 4;
   const CacheCounters c0 = CacheCounters::read();
-  const FlowOutput inc = runFlowMacro3D(dbTinyConfig(), eco);
+  const FlowOutput inc = runFlowMacro3D(makeTinyTileConfig(), eco);
   const CacheCounters c1 = CacheCounters::read();
   EXPECT_EQ(c1.hits - c0.hits, 3.0);      // place, pre_route_opt, cts
   EXPECT_EQ(c1.misses - c0.misses, 4.0);  // route..signoff
@@ -535,7 +544,7 @@ TEST(FlowDbCache, SearchHaloEcoRecomputesRouteOnward) {
   // ECO'd configuration.
   FlowOptions ecoCold = eco;
   ecoCold.checkpointDir.clear();
-  const FlowOutput cold = runFlowMacro3D(dbTinyConfig(), ecoCold);
+  const FlowOutput cold = runFlowMacro3D(makeTinyTileConfig(), ecoCold);
   EXPECT_EQ(inc.verify, cold.verify);
   EXPECT_EQ(inc.metrics.fclkMhz, cold.metrics.fclkMhz);
   EXPECT_EQ(inc.metrics.totalWirelengthM, cold.metrics.totalWirelengthM);
@@ -550,7 +559,7 @@ TEST(FlowDbCache, StandaloneCheckpointLoadReconstructsTheRun) {
 
   FlowOptions opt = dbTinyOptions();
   opt.checkpointDir = dir;
-  const FlowOutput ref = runFlowMacro3D(dbTinyConfig(), opt);
+  const FlowOutput ref = runFlowMacro3D(makeTinyTileConfig(), opt);
 
   // Find the signoff checkpoint and load it standalone (fresh Library/Tile).
   std::string signoffPath;
@@ -590,7 +599,8 @@ TEST(FlowDbCache, StandaloneCheckpointLoadReconstructsTheRun) {
 
 // ---------------------------------------------------------------------------
 // Stage-key sensitivity (fast; DbStageKeys, label db): computeStageKeys on
-// the tiny tile's Macro-3D pipeline entry state, no flow run.
+// the tiny tile's Macro-3D pipeline entry state, no flow run. The one flow
+// test here (FlowDbCache, slow) runs the flows with the unread values.
 
 /// One perturbation of a stage-key input and the stage that first reads it.
 struct KeyInput {
@@ -615,7 +625,7 @@ std::array<std::uint64_t, 7> stageKeys(const KeyInput* in = nullptr) {
   FlowOptions opt = dbTinyOptions();
   PipelineFlags flags;
   std::ostringstream trace;
-  FlowOutput out = macro3dEntryState(dbTinyConfig(), opt, trace);
+  FlowOutput out = macro3dEntryState(makeTinyTileConfig(), opt, trace);
   if (in != nullptr) in->perturb(out, opt, flags);
   return computeStageKeys(out, opt, flags);
 }
@@ -629,21 +639,14 @@ TEST(DbStageKeys, EachHashedValueReKeysItsStageAndEverythingAfter) {
   const std::vector<KeyInput> inputs = {
       onState("floorplan die", 0, [](FlowOutput& out, FlowOptions&) { out.fp.die.xhi += 1000; }),
       onFlags("inheritPlacement", 0, [](PipelineFlags& f) { f.inheritPlacement = true; }),
-      onOpt("partialBlockageResolution", 0,
-            [](FlowOptions& o) { o.partialBlockageResolution *= 2; }),
       onOpt("placer.engine", 0, [](FlowOptions& o) { o.placer.engine = PlaceEngine::kAnalytic; }),
       onOpt("placer.maxIters", 0, [](FlowOptions& o) { o.placer.maxIters += 1; }),
-      onOpt("placer.useExistingPositions", 0,
-            [](FlowOptions& o) { o.placer.useExistingPositions = true; }),
-      onOpt("placer.legalizer.partialBlockageResolution", 0,
-            [](FlowOptions& o) { o.placer.legalizer.partialBlockageResolution *= 2; }),
       onOpt("placer.legalizer.cellWidthScale", 0,
             [](FlowOptions& o) { o.placer.legalizer.cellWidthScale = 1.5; }),
       onFlags("preRouteOpt", 1, [](PipelineFlags& f) { f.preRouteOpt = false; }),
       onOpt("maxPerformance", 1, [](FlowOptions& o) { o.maxPerformance = false; }),
       onOpt("targetPeriodNs", 1, [](FlowOptions& o) { o.targetPeriodNs += 0.5; }),
       onOpt("maxFreqRounds", 1, [](FlowOptions& o) { o.maxFreqRounds += 1; }),
-      onOpt("optBase.targetPeriod", 1, [](FlowOptions& o) { o.optBase.targetPeriod *= 2; }),
       onOpt("optBase.maxPasses", 1, [](FlowOptions& o) { o.optBase.maxPasses += 1; }),
       onOpt("cts.maxSinksPerLeaf", 2, [](FlowOptions& o) { o.cts.maxSinksPerLeaf += 1; }),
       onState("routing BEOL", 3,
@@ -695,6 +698,71 @@ TEST(DbStageKeys, ThreadCountsEnterNoKey) {
   for (const KeyInput& in : threads) {
     SCOPED_TRACE(in.name);
     EXPECT_EQ(stageKeys(&in), base);
+  }
+}
+
+/// Options no pipeline stage reads. The place stage sets
+/// useExistingPositions itself; legalize ignores the blockage resolution
+/// (only the pseudo flows read the flow-level one, before the pipeline,
+/// where it reaches the keys through the entry netlist); the timing goal
+/// replaces optBase.targetPeriod.
+struct UnreadOption {
+  const char* name;
+  void (*perturb)(FlowOptions&);
+};
+constexpr UnreadOption kUnreadOptions[] = {
+    {"partialBlockageResolution", [](FlowOptions& o) { o.partialBlockageResolution *= 2; }},
+    {"placer.useExistingPositions", [](FlowOptions& o) { o.placer.useExistingPositions = true; }},
+    {"placer.legalizer.partialBlockageResolution",
+     [](FlowOptions& o) { o.placer.legalizer.partialBlockageResolution *= 2; }},
+    {"optBase.targetPeriod", [](FlowOptions& o) { o.optBase.targetPeriod *= 2; }},
+};
+
+// A value no stage reads must not re-key any stage: it would only turn
+// cache hits into misses.
+TEST(DbStageKeys, UnreadValuesEnterNoKey) {
+  const std::array<std::uint64_t, 7> base = stageKeys();
+  for (const UnreadOption& u : kUnreadOptions) {
+    SCOPED_TRACE(u.name);
+    const KeyInput in = onOpt(u.name, /*stage=*/7, u.perturb);  // read by no stage
+    EXPECT_EQ(stageKeys(&in), base);
+  }
+}
+
+std::string metricsJson(const DesignMetrics& m) {
+  std::ostringstream os;
+  obs::JsonWriter w(os, /*pretty=*/false);
+  writeDesignMetricsJson(w, m);
+  return os.str();
+}
+
+template <typename Encode>
+std::vector<std::uint8_t> bytesOf(Encode&& encode) {
+  db::BinWriter w;
+  encode(w);
+  return w.take();
+}
+
+// ...and indeed changes no result: the flows whose entry state does not
+// depend on them (2D and Macro-3D) produce the same metrics, netlist and
+// routes with each one perturbed.
+TEST(FlowDbCache, UnreadValuesLeaveResultsUnchanged) {
+  using RunFlow = FlowOutput (*)(const TileConfig&, const FlowOptions&);
+  const std::pair<const char*, RunFlow> flows[] = {{"Macro-3D", runFlowMacro3D},
+                                                   {"2D", runFlow2D}};
+  for (const auto& [flowName, run] : flows) {
+    const FlowOutput base = run(makeTinyTileConfig(), dbTinyOptions());
+    for (const UnreadOption& u : kUnreadOptions) {
+      SCOPED_TRACE(std::string(flowName) + ": " + u.name);
+      FlowOptions opt = dbTinyOptions();
+      u.perturb(opt);
+      const FlowOutput out = run(makeTinyTileConfig(), opt);
+      EXPECT_EQ(metricsJson(out.metrics), metricsJson(base.metrics));
+      EXPECT_EQ(bytesOf([&](db::BinWriter& w) { db::encodeNetlist(w, out.tile->netlist); }),
+                bytesOf([&](db::BinWriter& w) { db::encodeNetlist(w, base.tile->netlist); }));
+      EXPECT_EQ(bytesOf([&](db::BinWriter& w) { db::encodeRoutingResult(w, out.routes); }),
+                bytesOf([&](db::BinWriter& w) { db::encodeRoutingResult(w, base.routes); }));
+    }
   }
 }
 

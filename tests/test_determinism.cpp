@@ -396,24 +396,6 @@ TEST(StaDeterminism, CriticalPathStableAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 // Full flow (named Flow* so it carries the "slow" ctest label)
 
-TileConfig tinyConfig() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 void expectMetricsEqual(const DesignMetrics& a, const DesignMetrics& b, int threads) {
   EXPECT_EQ(a.fclkMhz, b.fclkMhz) << "threads=" << threads;
   EXPECT_EQ(a.minPeriodNs, b.minPeriodNs) << "threads=" << threads;
@@ -451,7 +433,7 @@ TEST(FlowDeterminism, Macro3dBitIdenticalAcrossThreadCounts) {
     opt.maxFreqRounds = 2;
     opt.optBase.maxPasses = 6;
     opt.numThreads = threads;
-    return runFlowMacro3D(tinyConfig(), opt);
+    return runFlowMacro3D(makeTinyTileConfig(), opt);
   };
   const FlowOutput ref = runAt(1);
   EXPECT_EQ(ref.metrics.unroutedNets, 0);
@@ -480,7 +462,7 @@ TEST(FlowDeterminism, VerifyReportBitIdenticalAcrossThreadCounts) {
   FlowOptions opt;
   opt.maxFreqRounds = 2;
   opt.optBase.maxPasses = 6;
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), opt);
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), opt);
   VerifyOptions vopt;
   vopt.numThreads = 1;
   const VerifyReport ref =
@@ -508,9 +490,9 @@ TEST(FlowDeterminism, EcoMacroResizeBitIdenticalToColdRunAcrossThreads) {
   base.maxFreqRounds = 2;
   base.optBase.maxPasses = 6;
   base.checkpointDir = dir;
-  (void)runFlowMacro3D(tinyConfig(), base);  // warm the cache with the pre-ECO design
+  (void)runFlowMacro3D(makeTinyTileConfig(), base);  // warm the cache with the pre-ECO design
 
-  TileConfig eco = tinyConfig();
+  TileConfig eco = makeTinyTileConfig();
   eco.bitcellUm2 *= 1.1;  // resize every SRAM macro
 
   FlowOptions coldOpt = base;

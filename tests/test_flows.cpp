@@ -8,25 +8,6 @@
 namespace m3d {
 namespace {
 
-/// Very small tile so each end-to-end flow stays in the seconds range.
-TileConfig tinyConfig() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 FlowOptions fastOptions() {
   FlowOptions opt;
   opt.maxFreqRounds = 2;
@@ -54,7 +35,7 @@ void expectHealthy(const FlowOutput& out) {
 }
 
 TEST(Flow2D, EndToEnd) {
-  const FlowOutput out = runFlow2D(tinyConfig(), fastOptions());
+  const FlowOutput out = runFlow2D(makeTinyTileConfig(), fastOptions());
   expectHealthy(out);
   EXPECT_EQ(out.metrics.flow, "2D");
   EXPECT_EQ(out.metrics.f2fBumps, 0);
@@ -64,7 +45,7 @@ TEST(Flow2D, EndToEnd) {
 }
 
 TEST(FlowMacro3D, EndToEnd) {
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), fastOptions());
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), fastOptions());
   expectHealthy(out);
   EXPECT_EQ(out.metrics.flow, "Macro-3D");
   EXPECT_GT(out.metrics.f2fBumps, 0);
@@ -82,15 +63,15 @@ TEST(FlowMacro3D, EndToEnd) {
 }
 
 TEST(FlowMacro3D, FootprintHalvesVs2D) {
-  const FlowOutput d2 = runFlow2D(tinyConfig(), fastOptions());
-  const FlowOutput m3 = runFlowMacro3D(tinyConfig(), fastOptions());
+  const FlowOutput d2 = runFlow2D(makeTinyTileConfig(), fastOptions());
+  const FlowOutput m3 = runFlowMacro3D(makeTinyTileConfig(), fastOptions());
   EXPECT_NEAR(m3.metrics.footprintMm2 / d2.metrics.footprintMm2, 0.5, 0.03);
 }
 
 TEST(FlowMacro3D, HeterogeneousM6M4Stack) {
   FlowOptions opt = fastOptions();
   opt.macroDieMetals = 4;
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), opt);
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), opt);
   expectHealthy(out);
   EXPECT_EQ(out.routingBeol.numMetals(), 10);
   EXPECT_EQ(out.routingBeol.numMetalsOfDie(DieId::kMacro), 4);
@@ -99,7 +80,7 @@ TEST(FlowMacro3D, HeterogeneousM6M4Stack) {
 }
 
 TEST(FlowMacro3D, DieSeparationConsistent) {
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), fastOptions());
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), fastOptions());
   const SeparatedDesign sep = separateDies(out, MacroDieStackOrder::kFlipped);
   EXPECT_EQ(sep.logicDieBeol.numMetals(), 6);
   EXPECT_EQ(sep.macroDieBeol.numMetals(), 6);
@@ -111,7 +92,7 @@ TEST(FlowMacro3D, DieSeparationConsistent) {
 }
 
 TEST(FlowS2D, EndToEnd) {
-  const FlowOutput out = runFlowS2D(tinyConfig(), /*balanced=*/false, fastOptions());
+  const FlowOutput out = runFlowS2D(makeTinyTileConfig(), /*balanced=*/false, fastOptions());
   expectHealthy(out);
   EXPECT_EQ(out.metrics.flow, "MoL S2D");
   EXPECT_GT(out.metrics.f2fBumps, 0);
@@ -126,7 +107,7 @@ TEST(FlowS2D, PlaceEngineEnvMatchesOption) {
     const ScopedEnv scoped("M3D_PLACE_ENGINE", env);
     FlowOptions opt = fastOptions();
     opt.placer.engine = engine;
-    return runFlowS2D(tinyConfig(), /*balanced=*/false, opt).metrics;
+    return runFlowS2D(makeTinyTileConfig(), /*balanced=*/false, opt).metrics;
   };
   const DesignMetrics byEnv = run("analytic", PlaceEngine::kB2B);
   const DesignMetrics byOption = run(nullptr, PlaceEngine::kAnalytic);
@@ -141,7 +122,7 @@ TEST(FlowS2D, PlaceEngineEnvMatchesOption) {
 }
 
 TEST(FlowBfS2D, EndToEnd) {
-  const FlowOutput out = runFlowS2D(tinyConfig(), /*balanced=*/true, fastOptions());
+  const FlowOutput out = runFlowS2D(makeTinyTileConfig(), /*balanced=*/true, fastOptions());
   expectHealthy(out);
   EXPECT_EQ(out.metrics.flow, "BF S2D");
   // Balanced floorplan: macros split across both dies.
@@ -156,7 +137,7 @@ TEST(FlowBfS2D, EndToEnd) {
 }
 
 TEST(FlowC2D, EndToEnd) {
-  const FlowOutput out = runFlowC2D(tinyConfig(), fastOptions());
+  const FlowOutput out = runFlowC2D(makeTinyTileConfig(), fastOptions());
   expectHealthy(out);
   EXPECT_EQ(out.metrics.flow, "C2D");
   EXPECT_GT(out.metrics.f2fBumps, 0);
@@ -166,21 +147,21 @@ TEST(Flows, IsoPerformanceModeHitsTarget) {
   FlowOptions opt = fastOptions();
   opt.maxPerformance = false;
   opt.targetPeriodNs = 6.0;
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), opt);
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), opt);
   // Sign-off frequency equals the target (or the max-achievable if faster).
   EXPECT_NEAR(out.metrics.fclkMhz, 1000.0 / 6.0, 1000.0 / 6.0 * 0.02);
 }
 
 TEST(Flows, DeterministicMetrics) {
-  const FlowOutput a = runFlowMacro3D(tinyConfig(), fastOptions());
-  const FlowOutput b = runFlowMacro3D(tinyConfig(), fastOptions());
+  const FlowOutput a = runFlowMacro3D(makeTinyTileConfig(), fastOptions());
+  const FlowOutput b = runFlowMacro3D(makeTinyTileConfig(), fastOptions());
   EXPECT_DOUBLE_EQ(a.metrics.fclkMhz, b.metrics.fclkMhz);
   EXPECT_DOUBLE_EQ(a.metrics.totalWirelengthM, b.metrics.totalWirelengthM);
   EXPECT_EQ(a.metrics.f2fBumps, b.metrics.f2fBumps);
 }
 
 TEST(Flows, TraceDescribesSteps) {
-  const FlowOutput out = runFlowMacro3D(tinyConfig(), fastOptions());
+  const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), fastOptions());
   EXPECT_NE(out.trace.find("step1"), std::string::npos);
   EXPECT_NE(out.trace.find("step2"), std::string::npos);
   EXPECT_NE(out.trace.find("F2F_VIA"), std::string::npos);

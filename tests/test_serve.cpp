@@ -287,6 +287,48 @@ TEST(ServeQueue, CloseCancelsQueuedAndUnblocksDequeue) {
   EXPECT_EQ(q.find(late)->state, JobState::kCancelled);
 }
 
+// A long-lived daemon must not keep every finished job forever: past the
+// cap the oldest-finished job is forgotten (its id then answers like an
+// unknown one), while queued and running jobs are never forgotten.
+TEST(ServeQueue, FinishedJobRetentionIsBounded) {
+  JobQueue q;
+  JobSpec pinned = tinySpec();
+  pinned.shrink = 2;  // own batch, so it runs beside the loop's jobs
+  pinned.priority = 9;
+  const std::uint64_t running = q.submit(pinned);
+  ASSERT_EQ(q.dequeue()->id, running);
+  JobSpec waiting = tinySpec();
+  waiting.shrink = 3;
+  waiting.priority = -1;  // every loop job outranks it: stays queued
+  const std::uint64_t queued = q.submit(waiting);
+
+  std::vector<std::uint64_t> done;
+  for (std::size_t k = 0; k < JobQueue::kMaxFinishedJobs + 1; ++k) {
+    const std::uint64_t id = q.submit(tinySpec());
+    const auto job = q.dequeue();
+    ASSERT_NE(job, nullptr);
+    ASSERT_EQ(job->id, id);
+    q.complete(id, true, JobResult{}, "");
+    done.push_back(id);
+  }
+  EXPECT_EQ(q.find(done.front()), nullptr);  // the oldest-finished is gone
+  EXPECT_EQ(q.waitJob(done.front(), 1), nullptr);
+  ASSERT_NE(q.find(done[1]), nullptr);
+  ASSERT_NE(q.find(done.back()), nullptr);
+  EXPECT_EQ(q.find(done.back())->state, JobState::kDone);
+  ASSERT_NE(q.find(running), nullptr);
+  EXPECT_EQ(q.find(running)->state, JobState::kRunning);
+  ASSERT_NE(q.find(queued), nullptr);
+  EXPECT_EQ(q.find(queued)->state, JobState::kQueued);
+  EXPECT_EQ(q.stats().done, static_cast<std::int64_t>(done.size()));
+
+  // Once the running job finishes it is the newest; the next oldest goes.
+  q.complete(running, true, JobResult{}, "");
+  EXPECT_EQ(q.find(done[1]), nullptr);
+  EXPECT_NE(q.find(running), nullptr);
+  EXPECT_NE(q.find(queued), nullptr);
+}
+
 TEST(ServeQueue, SameBaseKeyJobsSerializeAndCoalesce) {
   JobQueue q;
   JobSpec flow = tinySpec();

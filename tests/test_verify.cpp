@@ -15,31 +15,13 @@ namespace {
 /// each corruption is caught by exactly the right checker family with the
 /// right payload. The uncorrupted design must sign off clean (the verifier
 /// has zero false positives on healthy flows, zero false negatives here).
-TileConfig tinyConfig() {
-  TileConfig cfg;
-  cfg.name = "tiny";
-  cfg.cache = CacheConfig{2, 2, 4, 8};
-  cfg.coreGates = 350;
-  cfg.coreRegs = 70;
-  cfg.l1CtrlGates = 40;
-  cfg.l1CtrlRegs = 10;
-  cfg.l2CtrlGates = 60;
-  cfg.l2CtrlRegs = 14;
-  cfg.l3CtrlGates = 80;
-  cfg.l3CtrlRegs = 18;
-  cfg.nocGates = 60;
-  cfg.nocRegs = 14;
-  cfg.nocDataBits = 3;
-  return cfg;
-}
-
 class VerifySignoff : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     FlowOptions opt;
     opt.maxFreqRounds = 2;
     opt.optBase.maxPasses = 6;
-    out_ = new FlowOutput(runFlowMacro3D(tinyConfig(), opt));
+    out_ = new FlowOutput(runFlowMacro3D(makeTinyTileConfig(), opt));
   }
   static void TearDownTestSuite() {
     delete out_;
