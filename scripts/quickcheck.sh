@@ -85,8 +85,9 @@ echo "quickcheck: regression gate self-consistency OK"
 echo "quickcheck: route smoke matches checked-in baseline"
 
 # Flow-service daemon smoke: boot a real m3d_serve, run a cold then a warm
-# job through m3d_client, and shut the daemon down with SIGTERM -- the
-# graceful path must drain, exit 0, and flush the aggregate run report.
+# job and an ECO of it twice through m3d_client, and shut the daemon down
+# with SIGTERM -- the graceful path must drain, exit 0, and flush the
+# aggregate run report.
 SERVE_DIR="$BUILD_ABS/quickcheck_serve"
 rm -rf "$SERVE_DIR"
 mkdir -p "$SERVE_DIR"
@@ -115,12 +116,30 @@ test -n "$COLD_HASH" \
   || { echo "quickcheck: could not extract cold artifact hash"; exit 1; }
 echo "$WARM_JSON" | grep -q "\"artifact_hash\":\"$COLD_HASH\"" \
   || { echo "quickcheck: warm serve artifact differs from cold"; exit 1; }
+# A bump-pitch ECO of the same job: it replays the place/pre_route_opt/cts
+# prefix and reroutes from the base job's signoff checkpoint (its seed
+# enters the route key); the repeat replays all seven stages and must
+# reproduce the ECO's artifact.
+ECO="$JOB --kind eco --pitch-scale 2"
+# shellcheck disable=SC2086
+ECO_JSON="$("$BUILD_ABS/src/serve/m3d_client" --socket "$SOCK" run $ECO --label eco)"
+echo "$ECO_JSON" | grep -q '"cache_prefix_stages":3' \
+  || { echo "quickcheck: serve ECO job did not replay the 3-stage prefix"; exit 1; }
+ECO_HASH="$(echo "$ECO_JSON" | sed -n 's/.*"artifact_hash":"\([0-9a-f]*\)".*/\1/p')"
+test -n "$ECO_HASH" \
+  || { echo "quickcheck: could not extract ECO artifact hash"; exit 1; }
+# shellcheck disable=SC2086
+ECO_REPEAT_JSON="$("$BUILD_ABS/src/serve/m3d_client" --socket "$SOCK" run $ECO --label eco-repeat)"
+echo "$ECO_REPEAT_JSON" | grep -q '"cache_prefix_stages":7' \
+  || { echo "quickcheck: repeated serve ECO job did not replay the full prefix"; exit 1; }
+echo "$ECO_REPEAT_JSON" | grep -q "\"artifact_hash\":\"$ECO_HASH\"" \
+  || { echo "quickcheck: repeated serve ECO artifact differs from the first"; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
 test -s "$SERVE_DIR/report.json" \
   || { echo "quickcheck: m3d_serve did not flush its run report on SIGTERM"; exit 1; }
-echo "quickcheck: serve daemon smoke OK (cold+warm bit-identical, report flushed)"
+echo "quickcheck: serve daemon smoke OK (cold+warm and ECO+repeat bit-identical, report flushed)"
 
 # Serve bench baseline gate: every scalar except wall clock and the
 # wall-derived jobs/s rate is a pure function of the deterministic flows.

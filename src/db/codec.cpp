@@ -797,7 +797,7 @@ template <typename Encode>
 std::uint64_t hashEncoded(Encode&& encode) {
   BinWriter w;
   encode(w);
-  return fnv1a64(w.buffer().data(), w.size());
+  return contentHash64(w.buffer().data(), w.size());
 }
 }  // namespace
 

@@ -72,8 +72,8 @@ bool decodeClockModel(BinReader& r, ClockModel& out);
 void encodeVerifyReport(BinWriter& w, const VerifyReport& rep);
 bool decodeVerifyReport(BinReader& r, VerifyReport& out);
 
-// Content hashes (FNV-1a over the encoded bytes). Used for stage-cache
-// keys; hashX(a) == hashX(b) iff encodeX(a) == encodeX(b).
+// Content hashes (db::contentHash64, XXH64, over the encoded bytes). Used
+// for stage-cache keys; hashX(a) == hashX(b) iff encodeX(a) == encodeX(b).
 std::uint64_t hashLibrary(const Library& lib);
 std::uint64_t hashNetlist(const Netlist& nl);
 std::uint64_t hashTileGroups(const TileGroups& g);

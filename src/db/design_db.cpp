@@ -1,6 +1,7 @@
 #include "db/design_db.hpp"
 
 #include <cstring>
+#include <span>
 
 #include "db/hash.hpp"
 #include "io/fsutil.hpp"
@@ -42,7 +43,7 @@ const std::vector<std::uint8_t>* DesignDb::section(std::string_view name) const 
 
 std::uint64_t DesignDb::sectionHash(std::string_view name) const {
   const std::vector<std::uint8_t>* p = section(name);
-  return p == nullptr ? 0 : fnv1a64(p->data(), p->size());
+  return p == nullptr ? 0 : contentHash64(p->data(), p->size());
 }
 
 std::vector<std::string> DesignDb::sectionNames() const {
@@ -52,7 +53,7 @@ std::vector<std::string> DesignDb::sectionNames() const {
   return names;
 }
 
-std::vector<std::uint8_t> DesignDb::serialize() const {
+std::vector<std::uint8_t> DesignDb::header() const {
   // Table first (into its own buffer so its hash covers exactly its bytes).
   BinWriter table;
   std::uint64_t offset = 0;
@@ -60,7 +61,7 @@ std::vector<std::uint8_t> DesignDb::serialize() const {
     table.str(s.name);
     table.u64(offset);
     table.u64(static_cast<std::uint64_t>(s.payload.size()));
-    table.u64(fnv1a64(s.payload.data(), s.payload.size()));
+    table.u64(contentHash64(s.payload.data(), s.payload.size()));
     offset += s.payload.size();
   }
   const std::vector<std::uint8_t>& tableBytes = table.buffer();
@@ -69,10 +70,20 @@ std::vector<std::uint8_t> DesignDb::serialize() const {
   out.bytes(kMagic, 8);
   out.u32(kFormatVersion);
   out.u32(static_cast<std::uint32_t>(sections_.size()));
-  out.u64(fnv1a64(tableBytes.data(), tableBytes.size()));
+  out.u64(contentHash64(tableBytes.data(), tableBytes.size()));
   out.bytes(tableBytes.data(), tableBytes.size());
-  for (const Section& s : sections_) out.bytes(s.payload.data(), s.payload.size());
   return out.take();
+}
+
+std::vector<std::uint8_t> DesignDb::serialize() const {
+  std::vector<std::uint8_t> bytes = header();
+  std::size_t total = bytes.size();
+  for (const Section& s : sections_) total += s.payload.size();
+  bytes.reserve(total);
+  for (const Section& s : sections_) {
+    bytes.insert(bytes.end(), s.payload.begin(), s.payload.end());
+  }
+  return bytes;
 }
 
 DbStatus DesignDb::parse(const std::vector<std::uint8_t>& bytes) {
@@ -119,7 +130,7 @@ DbStatus DesignDb::parse(const std::vector<std::uint8_t>& bytes) {
     entries.push_back(std::move(e));
   }
   const std::size_t tableEnd = r.position();
-  if (fnv1a64(bytes.data() + tableStart, tableEnd - tableStart) != tableHash) {
+  if (contentHash64(bytes.data() + tableStart, tableEnd - tableStart) != tableHash) {
     return DbStatus::fail(DbError::kHashMismatch, "section table hash mismatch");
   }
 
@@ -143,7 +154,7 @@ DbStatus DesignDb::parse(const std::vector<std::uint8_t>& bytes) {
   }
   for (const Entry& e : entries) {
     const std::uint8_t* p = bytes.data() + payloadStart + e.offset;
-    if (fnv1a64(p, static_cast<std::size_t>(e.size)) != e.hash) {
+    if (contentHash64(p, static_cast<std::size_t>(e.size)) != e.hash) {
       return DbStatus::fail(DbError::kHashMismatch, "section '" + e.name + "' hash mismatch");
     }
   }
@@ -157,8 +168,13 @@ DbStatus DesignDb::parse(const std::vector<std::uint8_t>& bytes) {
 }
 
 DbStatus DesignDb::saveFile(const std::string& path) const {
+  const std::vector<std::uint8_t> head = header();
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(sections_.size() + 1);
+  parts.emplace_back(head);
+  for (const Section& s : sections_) parts.emplace_back(s.payload);
   std::string err;
-  if (!io::atomicWriteFile(path, serialize(), &err)) {
+  if (!io::atomicWriteFile(path, parts, &err)) {
     return DbStatus::fail(DbError::kIoError, err);
   }
   return DbStatus::success();

@@ -12,11 +12,11 @@
 ///
 /// The section table holds, per section: name (length-prefixed), payload
 /// offset (relative to the payload area), payload size, and the payload's
-/// FNV-1a hash. tableHash is the FNV-1a of the serialized table bytes, so
-/// corruption anywhere — header, table or payload — is detected before any
-/// payload is decoded. Loading fails closed: parse() returns a typed
-/// DbStatus and leaves the object empty on any error; it never exposes a
-/// partially validated file.
+/// content hash (XXH64, db/hash.hpp). tableHash is the content hash of the
+/// serialized table bytes, so corruption anywhere — header, table or
+/// payload — is detected before any payload is decoded. Loading fails
+/// closed: parse() returns a typed DbStatus and leaves the object empty on
+/// any error; it never exposes a partially validated file.
 ///
 /// Section order is preserved (insertion order on build, file order on
 /// load) and the writers emit sections in a fixed order, so
@@ -35,7 +35,7 @@ class DesignDb {
  public:
   /// Container format version. Bump on any incompatible layout change;
   /// loaders reject other versions with DbError::kBadVersion.
-  static constexpr std::uint32_t kFormatVersion = 5;  // v5: routes drop the region counters
+  static constexpr std::uint32_t kFormatVersion = 6;  // v6: XXH64 section and table hashes
   /// 8-byte magic: identifies the format and (via \r\n\x1a) catches text-
   /// mode and truncation mangling early.
   static const char kMagic[9];
@@ -47,7 +47,7 @@ class DesignDb {
 
   /// Payload of \p name, or nullptr when absent.
   const std::vector<std::uint8_t>* section(std::string_view name) const;
-  /// FNV-1a hash of the section payload (0 when absent).
+  /// Content hash (XXH64) of the section payload (0 when absent).
   std::uint64_t sectionHash(std::string_view name) const;
   std::vector<std::string> sectionNames() const;
   int numSections() const { return static_cast<int>(sections_.size()); }
@@ -60,12 +60,18 @@ class DesignDb {
   /// section hash). On failure the container is left empty.
   DbStatus parse(const std::vector<std::uint8_t>& bytes);
 
-  /// serialize() + atomic file replacement.
+  /// Atomic file replacement with the bytes of serialize(), streamed: the
+  /// header and table, then each payload in place, go straight into the
+  /// temporary file (no whole-file copy in memory).
   DbStatus saveFile(const std::string& path) const;
   /// Whole-file read + parse().
   DbStatus loadFile(const std::string& path);
 
  private:
+  /// Magic, version, section count, table hash and section table: the bytes
+  /// in front of the payloads, shared by serialize() and saveFile().
+  std::vector<std::uint8_t> header() const;
+
   struct Section {
     std::string name;
     std::vector<std::uint8_t> payload;

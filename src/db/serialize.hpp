@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file serialize.hpp
-/// Binary serialization primitives of the design database: a growable
+/// Binary serialization primitives of the design database: a cursor-append
 /// little-endian writer and a strictly bounds-checked reader that fails
 /// closed — any overrun, oversized count or malformed record flips the
 /// reader into a sticky failed state and every subsequent read returns a
@@ -9,6 +9,7 @@
 /// Typed errors (DbError / DbStatus) are shared by the container
 /// (design_db.hpp) and the codecs (codec.hpp).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -42,13 +43,18 @@ struct DbStatus {
 };
 
 /// Append-only little-endian byte-stream writer.
+///
+/// Appends through a write cursor over a buffer whose size doubles when it
+/// runs out, so each scalar is one bounds check and one memcpy. size(),
+/// buffer() and take() expose exactly the bytes written, never the spare
+/// capacity past the cursor.
 class BinWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { le(&v, sizeof v); }
-  void u64(std::uint64_t v) { le(&v, sizeof v); }
-  void i32(std::int32_t v) { le(&v, sizeof v); }
-  void i64(std::int64_t v) { le(&v, sizeof v); }
+  void u8(std::uint8_t v) { put(&v, sizeof v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
+  void i32(std::int32_t v) { le(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
   void b(bool v) { u8(v ? 1 : 0); }
   /// Doubles are stored by bit pattern: a save -> load -> save round trip
   /// is byte-identical (NaNs and signed zeros included).
@@ -62,29 +68,44 @@ class BinWriter {
     bytes(s.data(), s.size());
   }
   void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n > 0) put(data, n);
   }
 
-  std::size_t size() const { return buf_.size(); }
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  std::size_t size() const { return size_; }
+  const std::vector<std::uint8_t>& buffer() const {
+    buf_.resize(size_);  // drops the spare capacity past the cursor
+    return buf_;
+  }
+  std::vector<std::uint8_t> take() {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
 
  private:
-  void le(const void* data, std::size_t n) {
-    unsigned char tmp[8];
-    std::memcpy(tmp, data, n);
+  template <typename T>
+  void le(T v) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    for (std::size_t i = 0; i < n / 2; ++i) {
-      const unsigned char t = tmp[i];
-      tmp[i] = tmp[n - 1 - i];
-      tmp[n - 1 - i] = t;
+    if constexpr (sizeof v == 8) {
+      v = __builtin_bswap64(v);
+    } else {
+      v = __builtin_bswap32(v);
     }
 #endif
-    buf_.insert(buf_.end(), tmp, tmp + n);
+    put(&v, sizeof v);
+  }
+  void put(const void* data, std::size_t n) {
+    if (buf_.size() - size_ < n) {
+      buf_.resize(std::max({2 * buf_.size(), size_ + n, kMinCapacity}));
+    }
+    std::memcpy(buf_.data() + size_, data, n);
+    size_ += n;
   }
 
-  std::vector<std::uint8_t> buf_;
+  static constexpr std::size_t kMinCapacity = 256;
+  /// buf_.size() is the capacity; bytes past size_ are spare.
+  mutable std::vector<std::uint8_t> buf_;
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked little-endian reader over a borrowed byte range.

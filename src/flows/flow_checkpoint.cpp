@@ -168,7 +168,7 @@ db::DbStatus restoreStageCheckpoint(const std::string& path, FlowOutput& out,
   if (libSection == nullptr) {
     return DbStatus::fail(DbError::kMissingSection, "missing section 'library'");
   }
-  if (db::fnv1a64(libSection->data(), libSection->size()) != db::hashLibrary(*out.lib)) {
+  if (db::contentHash64(libSection->data(), libSection->size()) != db::hashLibrary(*out.lib)) {
     return DbStatus::fail(DbError::kHashMismatch,
                           "checkpoint library does not match the live library");
   }

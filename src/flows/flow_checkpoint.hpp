@@ -40,8 +40,8 @@ namespace m3d {
 
 /// Bump when the pipeline semantics or the key recipe change: stale caches
 /// from older binaries then miss instead of restoring wrong state.
-/// v10: the keys drop four values no stage reads.
-inline constexpr std::uint32_t kStageKeyVersion = 10;
+/// v11: the encoded-state and ECO-seed hashes in the keys are XXH64.
+inline constexpr std::uint32_t kStageKeyVersion = 11;
 
 /// Content keys of the seven pipeline stages for this pipeline input.
 /// Call at pipeline entry (before the place stage mutates the netlist).

@@ -544,8 +544,14 @@ void runRoute(FlowOutput& out, const FlowOptions& opt, const PipelineFlags&,
 void runExtract(FlowOutput& out, const FlowOptions&, const PipelineFlags&,
                 std::ostringstream& trace, obs::ScopedPhase& phase) {
   const Netlist& nl = out.tile->netlist;
-  out.paras = extractDesign(nl, *out.grid, out.routes);
-  out.clock = updateClockModel(nl, out.paras, out.cts);
+  {
+    obs::ScopedPhase netsPhase("extract.nets");
+    out.paras = extractDesign(nl, *out.grid, out.routes);
+  }
+  {
+    obs::ScopedPhase clockPhase("extract.clock");
+    out.clock = updateClockModel(nl, out.paras, out.cts);
+  }
   phase.attr("nets", nl.numNets());
   phase.attr("clock_latency_ps", out.clock.maxLatency * 1e12);
   trace << "clock: latency_ps=" << out.clock.maxLatency * 1e12
@@ -714,7 +720,7 @@ constexpr PipelineStage kPipeline[] = {
        if (opt.ecoRouteFrom.empty()) return;
        std::vector<std::uint8_t> bytes;
        if (io::readFileBytes(opt.ecoRouteFrom, bytes)) {
-         h.u64(db::fnv1a64(bytes.data(), bytes.size()));
+         h.u64(db::contentHash64(bytes.data(), bytes.size()));
        } else {
          h.str(opt.ecoRouteFrom);
        }

@@ -44,6 +44,12 @@ bool ensureDirectories(const std::string& dir) {
 
 bool atomicWriteFile(const std::string& path, const std::vector<std::uint8_t>& bytes,
                      std::string* err) {
+  const std::span<const std::uint8_t> whole(bytes);
+  return atomicWriteFile(path, std::span(&whole, 1), err);
+}
+
+bool atomicWriteFile(const std::string& path,
+                     std::span<const std::span<const std::uint8_t>> parts, std::string* err) {
   const std::string tmp = uniqueTempName(path);
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
@@ -51,9 +57,10 @@ bool atomicWriteFile(const std::string& path, const std::vector<std::uint8_t>& b
       if (err) *err = "cannot open for write: " + tmp;
       return false;
     }
-    if (!bytes.empty()) {
-      f.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    for (const std::span<const std::uint8_t> part : parts) {
+      if (part.empty()) continue;
+      f.write(reinterpret_cast<const char*>(part.data()),
+              static_cast<std::streamsize>(part.size()));
     }
     f.flush();
     if (!f) {

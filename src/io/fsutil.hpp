@@ -6,6 +6,7 @@
 /// replacement. Kept dependency-free (std::filesystem + <fstream> only).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,13 @@ bool ensureDirectories(const std::string& dir);
 /// wins whole -- a reader can never observe bytes from two writers mixed.
 /// Returns false on any I/O error; \p err (optional) receives a diagnostic.
 bool atomicWriteFile(const std::string& path, const std::vector<std::uint8_t>& bytes,
+                     std::string* err = nullptr);
+
+/// As above, with the file's bytes given as the concatenation of \p parts,
+/// each written in place (a writer with its data in several buffers never
+/// copies them into one).
+bool atomicWriteFile(const std::string& path,
+                     std::span<const std::span<const std::uint8_t>> parts,
                      std::string* err = nullptr);
 
 /// Reads the whole file into \p bytes. Returns false (with \p err set when

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "core/parallel.hpp"
 #include "obs/log.hpp"
@@ -284,6 +286,8 @@ class Router {
     result.nets.assign(static_cast<std::size_t>(nl_.numNets()), NetRoute{});
     buildOrder();
 
+    // Census, dirty edges and seeding, up to the negotiation.
+    std::optional<obs::ScopedPhase> seedSpan(std::in_place, "route.eco_seed");
     // Edge dirtiness = capacity diff between the two grids.
     const std::size_t numWire = wireUse_.size();
     const std::size_t numVia = viaUse_.size();
@@ -390,6 +394,7 @@ class Router {
     }
     M3D_LOG(debug) << "eco route: " << dirty.size() << " dirty / " << order_.size()
                    << " nets, " << ecoDirtyGcells_ << " dirty gcells";
+    seedSpan.reset();
     negotiate(dirty, result);
     finalize(result);
     return result;
@@ -397,11 +402,15 @@ class Router {
 
  private:
   /// Builds the full route order: every multi-pin net, shortest first
-  /// (stable by id).
+  /// (stable by id). Each net's HPWL is taken once here: the netlist is
+  /// const while routing, so every later sort reuses it.
   void buildOrder() {
     order_.clear();
+    hpwl_.assign(static_cast<std::size_t>(nl_.numNets()), 0);
     for (NetId n = 0; n < nl_.numNets(); ++n) {
-      if (nl_.net(n).pins.size() >= 2) order_.push_back(n);
+      if (nl_.net(n).pins.size() < 2) continue;
+      order_.push_back(n);
+      hpwl_[static_cast<std::size_t>(n)] = nl_.netHpwl(n);
     }
     sortNets(order_);
   }
@@ -409,8 +418,8 @@ class Router {
   /// Deterministic net ordering: HPWL ascending, then id.
   void sortNets(std::vector<NetId>& nets) const {
     std::sort(nets.begin(), nets.end(), [this](NetId a, NetId b) {
-      const Dbu ha = nl_.netHpwl(a);
-      const Dbu hb = nl_.netHpwl(b);
+      const Dbu ha = hpwl_[static_cast<std::size_t>(a)];
+      const Dbu hb = hpwl_[static_cast<std::size_t>(b)];
       if (ha != hb) return ha < hb;
       return a < b;
     });
@@ -951,6 +960,7 @@ class Router {
   std::vector<double> viaCostCache_;
   std::vector<std::unique_ptr<SearchScratch>> scratch_;
   std::vector<NetId> order_;
+  std::vector<Dbu> hpwl_;  ///< per net: HPWL at buildOrder (the sort key).
   std::vector<std::uint8_t> everRipped_;  ///< per net: ripped at least once.
   int threads_ = 1;
   int batchSize_ = 1;

@@ -19,11 +19,11 @@ namespace {
 
 int shrinkDiv(int v, int s) { return v / s > 0 ? v / s : 1; }
 
-/// FNV-1a over a whole file; false when unreadable.
+/// Content hash (XXH64) of a whole file; false when unreadable.
 bool hashFile(const std::string& path, std::uint64_t* out) {
   std::vector<std::uint8_t> bytes;
   if (!io::readFileBytes(path, bytes)) return false;
-  *out = db::fnv1a64(bytes.data(), bytes.size());
+  *out = db::contentHash64(bytes.data(), bytes.size());
   return true;
 }
 
@@ -132,7 +132,7 @@ bool runJob(const Job& job, const RunnerOptions& ropt, JobResult* result,
     obs::JsonWriter w(os, /*pretty=*/false);
     writeDesignMetricsJson(w, out.metrics);
     const std::string json = os.str();
-    r.artifactHash = db::fnv1a64(json.data(), json.size());
+    r.artifactHash = db::contentHash64(json.data(), json.size());
     r.artifactSource = "metrics";
   }
 

@@ -85,7 +85,7 @@ struct JobResult {
   std::int64_t ecoRipped = -1;   ///< routeDesignEco census (-1 = not ECO-routed)
   std::int64_t ecoReused = -1;
   bool coalesced = false;        ///< ran against a batch leader's seed/prefix
-  std::uint64_t artifactHash = 0;  ///< FNV-1a of the artifact (see source)
+  std::uint64_t artifactHash = 0;  ///< XXH64 of the artifact (see source)
   std::string artifactSource;    ///< "checkpoint" (signoff .m3ddb bytes) or
                                  ///< "metrics" (metrics JSON; cache disabled)
   double wallMs = 0.0;

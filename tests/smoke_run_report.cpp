@@ -216,7 +216,8 @@ int main() {
 
   // An ECO run seeded from the cold run's signoff checkpoint re-keys the
   // route stage onward: it restores the place/pre_route_opt/cts prefix and
-  // loads its seed, each in a db.restore span.
+  // loads its seed, each in a db.restore span; the router's seed pass and
+  // the extraction kernels have leaf spans of their own.
   FlowOptions eco = opt;
   eco.report.jsonPath.clear();
   eco.traceOut.clear();
@@ -225,6 +226,9 @@ int main() {
   check(ecoOut.cacheRestoredStages == 3, "ECO run restores the 3-stage prefix");
   checkChild(&ecoOut.report.root, "root", "db.restore");
   checkChild(child(ecoOut.report.root, "route"), "route", "db.restore");
+  checkChild(child(ecoOut.report.root, "route"), "route", "route.eco_seed");
+  checkChild(child(ecoOut.report.root, "extract"), "extract", "extract.nets");
+  checkChild(child(ecoOut.report.root, "extract"), "extract", "extract.clock");
   std::filesystem::remove_all(cacheDir);
 
   if (gFailures == 0) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/codec.hpp"
@@ -22,6 +24,7 @@
 #include "flows/flow_checkpoint.hpp"
 #include "flows/flows.hpp"
 #include "core/macro3d.hpp"
+#include "io/fsutil.hpp"
 #include "lib/stdcell_factory.hpp"
 #include "obs/metrics.hpp"
 #include "tech/combined_beol.hpp"
@@ -31,6 +34,8 @@
 ///  - container round trips: save -> load -> save must be byte-identical,
 ///  - fault injection: truncation / flipped bytes anywhere must fail closed
 ///    with the documented typed error and leave the container empty,
+///  - the content hash against XXH64 reference values and the writer's
+///    pinned byte layout,
 ///  - codec round trips over randomized netlists/floorplans (fixed seeds),
 ///  - the stage cache's content-addressed path convention.
 /// Flow-level warm-rerun and ECO tests live in the FlowDb* suite (slow).
@@ -136,6 +141,20 @@ TEST(DbContainer, CorruptedBytesAreDetectedEverywhere) {
   }
 }
 
+TEST(DbContainer, SaveFileWritesSerializeBytes) {
+  // saveFile streams the header and each payload into the file; the result
+  // must be exactly serialize()'s bytes, empty sections included.
+  db::DesignDb db = makeSampleDb();
+  db.setSection("delta", std::vector<std::uint8_t>(70000, 0x5C));
+  db.setSection("epsilon", {});
+  const std::string path = tempPath("m3d_dbtest_streamed.m3ddb");
+  ASSERT_TRUE(db.saveFile(path).ok());
+  std::vector<std::uint8_t> onDisk;
+  ASSERT_TRUE(io::readFileBytes(path, onDisk));
+  EXPECT_EQ(onDisk, db.serialize());
+  fs::remove(path);
+}
+
 TEST(DbContainer, SectionCountCapRejectsCorruptCounts) {
   // A forged header claiming kMaxSections+1 sections must fail fast (not
   // attempt a huge allocation). Build by patching a valid empty container.
@@ -148,7 +167,69 @@ TEST(DbContainer, SectionCountCapRejectsCorruptCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Content hash
+
+TEST(DbHash, ContentHashMatchesXxh64Reference) {
+  // XXH64 (seed 0) of the first n bytes of b[i] = (7i + 3) & 0xff, checked
+  // against the reference implementation; the lengths cover the empty
+  // input, every tail path (1-, 4- and 8-byte steps) and the 32-byte lanes.
+  std::vector<std::uint8_t> b(200);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<std::uint8_t>((7 * i + 3) & 0xff);
+  const std::pair<std::size_t, std::uint64_t> expected[] = {
+      {0, 0xef46db3751d8e999ull},   {1, 0x1f25c8d0bc1f4bb6ull},   {3, 0x31d2363f52e564c9ull},
+      {4, 0x9bb64b7d66ee9fdaull},   {8, 0xdab99d95c6f90092ull},   {12, 0xd52e407833af5133ull},
+      {31, 0xa2aa5f33cc4a6119ull},  {32, 0x23c3c17ef790fd97ull},  {63, 0x5e3e54b431c7493cull},
+      {71, 0xfdb8dfc5700141a7ull},  {100, 0xa61f8d4c170fe531ull}, {200, 0xa6cb3c09bc829b24ull},
+  };
+  for (const auto& [n, hash] : expected) {
+    EXPECT_EQ(db::contentHash64(b.data(), n), hash) << "n=" << n;
+  }
+  EXPECT_EQ(db::contentHash64("abc", 3), 0x44bc2cf5ad770999ull);
+}
+
+// ---------------------------------------------------------------------------
 // Serialization primitives
+
+TEST(DbSerialize, WriterByteLayoutIsPinned) {
+  db::BinWriter w;
+  w.u8(0xA5);
+  w.u32(0x01020304u);
+  w.u64(0x0102030405060708ull);
+  w.i32(-2);
+  w.i64(-3);
+  w.b(true);
+  w.b(false);
+  w.f64(-0.0);
+  w.f64(std::bit_cast<double>(0x7FF8000000000123ull));  // quiet NaN with a payload
+  w.f64(1.5);
+  w.str("ab");
+  const std::vector<std::uint8_t> scalars = {
+      0xA5,                                            // u8
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xFE, 0xFF, 0xFF, 0xFF,                          // i32 -2
+      0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64 -3
+      0x01, 0x00,                                      // b true, false
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // f64 -0.0
+      0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // f64 NaN payload
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F,  // f64 1.5
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // str length
+      'a',  'b',                                       // str bytes
+  };
+  EXPECT_EQ(w.size(), scalars.size());
+  EXPECT_EQ(w.buffer(), scalars);
+
+  // One bytes() run longer than 64 KiB lands verbatim after the scalars,
+  // also after buffer() has been read mid-stream.
+  std::vector<std::uint8_t> run(70000);
+  for (std::size_t i = 0; i < run.size(); ++i) run[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  w.bytes(run.data(), run.size());
+  std::vector<std::uint8_t> all = scalars;
+  all.insert(all.end(), run.begin(), run.end());
+  EXPECT_EQ(w.size(), all.size());
+  EXPECT_EQ(w.take(), all);
+  EXPECT_EQ(w.size(), 0u);
+}
 
 TEST(DbSerialize, ReaderFailureIsSticky) {
   db::BinWriter w;
