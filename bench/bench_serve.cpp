@@ -193,7 +193,7 @@ int benchServeMain(bool smoke) {
 
   // Shared-cache census straight from the stats op.
   obs::JsonValue stats;
-  if (!c.request(encodeStats(), &stats, &err)) {
+  if (!c.request(encodeOp("stats"), &stats, &err)) {
     std::cerr << "bench_serve: stats failed: " << err << "\n";
     return 1;
   }

@@ -5,12 +5,15 @@
 # Runs everything EXCEPT the slow end-to-end flow suites (`ctest -LE slow`;
 # the two `flowbench_smoke_*` tests are the exception, run explicitly after),
 # which covers all unit/property tests including the design-database suites
-# (`ctest -L db` selects just those), the telemetry suites (`ctest -L obs`),
-# the flow-service protocol/queue suites (`ctest -L serve`), and the perf
-# smokes (`ctest -L perf`: bench_route --smoke asserts the windowed search
-# pops fewer nodes than full-grid at equal-or-better QoR; bench_serve
-# --smoke asserts the serving cache-reuse contract; bench_hpwl_ablation and
-# bench_sta --smoke check the placer and timing engines).
+# (`ctest -L db` selects just those; four of them run one tiny flow each to
+# pin every checkpoint section's bytes, cut every section short, feed ids
+# past the netlist and break each decode rule), the telemetry suites
+# (`ctest -L obs`), the flow-service protocol/queue suites
+# (`ctest -L serve`), and the perf smokes (`ctest -L perf`: bench_route
+# --smoke asserts the windowed search pops fewer nodes than full-grid at
+# equal-or-better QoR; bench_serve --smoke asserts the serving cache-reuse
+# contract; bench_hpwl_ablation and bench_sta --smoke check the placer and
+# timing engines).
 # Use `ctest --test-dir build` with no label filter for the full tier-1 run.
 #
 # Usage: scripts/quickcheck.sh [build-dir]   (default: build)
@@ -18,7 +21,8 @@
 #
 # --sanitize configures a separate build tree (default build-asan or
 # build-tsan) with -DM3D_SANITIZE=<list>, builds it and runs the tests only:
-# address,undefined runs `ctest -LE slow`; thread runs the suites that
+# address,undefined runs `ctest -LE slow`, the DbCheckpoint tests and so
+# every decoder's rejection paths included; thread runs the suites that
 # exercise the thread pool and the daemon's threads (every *Determinism
 # suite, PlacerGolden, Parallel, StaIncr, DbStageCache, ObsPoolTrace and
 # Serve*). Any sanitizer finding aborts its test, so a green run is clean.

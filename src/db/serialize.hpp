@@ -6,8 +6,10 @@
 /// closed — any overrun, oversized count or malformed record flips the
 /// reader into a sticky failed state and every subsequent read returns a
 /// zero value, so decoders can run to completion and check ok() once.
-/// Typed errors (DbError / DbStatus) are shared by the container
-/// (design_db.hpp) and the codecs (codec.hpp).
+/// Both offer the same codec interface (kReading, field overloads, count,
+/// enumU8, check, table), so one codec per type (codec.hpp) runs in either
+/// direction. Typed errors (DbError / DbStatus) are shared by the container
+/// (design_db.hpp) and the codecs.
 
 #include <algorithm>
 #include <cstdint>
@@ -71,6 +73,33 @@ class BinWriter {
     if (n > 0) put(data, n);
   }
 
+  // Codec interface (codec.hpp): writes what BinReader's reads back.
+  static constexpr bool kReading = false;
+  /// Writes each field by its type.
+  template <typename... T>
+  void operator()(const T&... v) {
+    (field(v), ...);
+  }
+  /// Writes the element count of \p v (\p minBytes guards the reader).
+  template <typename V>
+  void count(const V& v, std::size_t /*minBytes*/) {
+    u64(static_cast<std::uint64_t>(v.size()));
+  }
+  /// Writes \p e as a u8 (\p last bounds the reader).
+  template <typename E>
+  void enumU8(E e, E /*last*/) {
+    u8(static_cast<std::uint8_t>(e));
+  }
+  /// The writer trusts the state it encodes: only the reader checks.
+  static constexpr bool check(bool) { return true; }
+  static constexpr bool ok() { return true; }
+  /// The table a codec writes for an object that keeps it private: the
+  /// object's own.
+  template <typename T>
+  static const T& table(const T& live) {
+    return live;
+  }
+
   std::size_t size() const { return size_; }
   const std::vector<std::uint8_t>& buffer() const {
     buf_.resize(size_);  // drops the spare capacity past the cursor
@@ -83,6 +112,18 @@ class BinWriter {
   }
 
  private:
+  void field(bool v) { b(v); }
+  void field(std::uint8_t v) { u8(v); }
+  void field(std::int32_t v) { i32(v); }
+  void field(std::uint32_t v) { u32(v); }
+  void field(std::int64_t v) { i64(v); }
+  void field(std::uint64_t v) { u64(v); }
+  void field(double v) { f64(v); }
+  void field(const std::string& v) { str(v); }
+  /// Exactly the types above: no conversion may change a field's width.
+  template <typename T>
+  void field(const T&) = delete;
+
   template <typename T>
   void le(T v) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
@@ -95,11 +136,14 @@ class BinWriter {
     put(&v, sizeof v);
   }
   void put(const void* data, std::size_t n) {
-    if (buf_.size() - size_ < n) {
-      buf_.resize(std::max({2 * buf_.size(), size_ + n, kMinCapacity}));
-    }
+    if (buf_.size() - size_ < n) grow(n);
     std::memcpy(buf_.data() + size_, data, n);
     size_ += n;
+  }
+  /// Out of line: put() stays a compare, a copy and an add at each of the
+  /// hundreds of call sites db::encode flattens into its codec.
+  [[gnu::noinline]] void grow(std::size_t n) {
+    buf_.resize(std::max({2 * buf_.size(), size_ + n, kMinCapacity}));
   }
 
   static constexpr std::size_t kMinCapacity = 256;
@@ -172,6 +216,38 @@ class BinReader {
     return n;
   }
 
+  // Codec interface (codec.hpp): reads what BinWriter's writes.
+  static constexpr bool kReading = true;
+  /// Reads each field by its type.
+  template <typename... T>
+  void operator()(T&... v) {
+    (field(v), ...);
+  }
+  /// Reads an element count, guarded by count(minBytes), and resizes \p v
+  /// to it.
+  template <typename V>
+  void count(V& v, std::size_t minBytes) {
+    v.resize(static_cast<std::size_t>(count(minBytes)));
+  }
+  /// Reads a u8 into \p e; fails unless it is at most \p last.
+  template <typename E>
+  void enumU8(E& e, E last) {
+    const std::uint8_t v = u8();
+    if (check(v <= static_cast<std::uint8_t>(last))) e = static_cast<E>(v);
+  }
+  /// Fails the stream unless \p cond holds. Returns ok(): a codec stops
+  /// before it indexes with a value that failed this or an earlier check.
+  bool check(bool cond) {
+    if (!cond) fail();
+    return ok();
+  }
+  /// The table a codec reads for an object that keeps it private: a new
+  /// one, which the codec installs once the whole payload has passed.
+  template <typename T>
+  static T table(const T&) {
+    return T{};
+  }
+
   /// Marks the stream failed (decoders call this on semantic violations).
   void fail() { failed_ = true; }
 
@@ -181,6 +257,15 @@ class BinReader {
   std::size_t remaining() const { return size_ - pos_; }
 
  private:
+  void field(bool& v) { v = b(); }
+  void field(std::uint8_t& v) { v = u8(); }
+  void field(std::int32_t& v) { v = i32(); }
+  void field(std::uint32_t& v) { v = u32(); }
+  void field(std::int64_t& v) { v = i64(); }
+  void field(std::uint64_t& v) { v = u64(); }
+  void field(double& v) { v = f64(); }
+  void field(std::string& v) { v = str(); }
+
   bool take(void* dst, std::size_t n) {
     if (failed_ || n > remaining()) {
       failed_ = true;

@@ -7,6 +7,13 @@
 
 namespace m3d {
 
+/// Codec of the metrics section: every field, in forEachDesignMetric's
+/// order. db::encode and db::decode find it by argument-dependent lookup.
+template <typename Io, db::MaybeConst<DesignMetrics> M>
+void code(Io& io, M& m, const db::IdBounds&) {
+  forEachDesignMetric(m, [&io](const char*, auto& field) { io(field); });
+}
+
 namespace {
 
 using db::BinReader;
@@ -15,63 +22,11 @@ using db::DbError;
 using db::DbStatus;
 using db::DesignDb;
 
-// Checkpoint codec of one DesignMetrics field, overloaded on its type.
-void put(BinWriter& w, const std::string& v) { w.str(v); }
-void put(BinWriter& w, double v) { w.f64(v); }
-void put(BinWriter& w, int v) { w.i32(v); }
-void put(BinWriter& w, std::int64_t v) { w.i64(v); }
-void get(BinReader& r, std::string& v) { v = r.str(); }
-void get(BinReader& r, double& v) { v = r.f64(); }
-void get(BinReader& r, int& v) { v = r.i32(); }
-void get(BinReader& r, std::int64_t& v) { v = r.i64(); }
-
-// Codec of one checkpoint section, overloaded on the FlowOutput member it
-// holds. Decoders see the checkpoint's netlist (tile groups index into it).
-void encode(BinWriter& w, const Netlist& v) { db::encodeNetlist(w, v); }
-void encode(BinWriter& w, const TileGroups& v) { db::encodeTileGroups(w, v); }
-void encode(BinWriter& w, const TileConfig& v) { db::encodeTileConfig(w, v); }
-void encode(BinWriter& w, const TechNode& v) { db::encodeTechNode(w, v); }
-void encode(BinWriter& w, const Beol& v) { db::encodeBeol(w, v); }
-void encode(BinWriter& w, const Floorplan& v) { db::encodeFloorplan(w, v); }
-void encode(BinWriter& w, const CtsResult& v) { db::encodeCtsResult(w, v); }
-void encode(BinWriter& w, const RoutingResult& v) { db::encodeRoutingResult(w, v); }
-void encode(BinWriter& w, const std::vector<NetParasitics>& v) { db::encodeParasitics(w, v); }
-void encode(BinWriter& w, const ClockModel& v) { db::encodeClockModel(w, v); }
-void encode(BinWriter& w, const DesignMetrics& v) {
-  forEachDesignMetric(v, [&w](const char*, const auto& f) { put(w, f); });
-}
-void encode(BinWriter& w, const VerifyReport& v) { db::encodeVerifyReport(w, v); }
-
-bool decode(BinReader& r, Netlist& v, const Netlist&) { return db::decodeNetlist(r, v); }
-bool decode(BinReader& r, TileGroups& v, const Netlist& nl) {
-  return db::decodeTileGroups(r, v, nl.numInstances(), nl.numNets(), nl.numPorts());
-}
-bool decode(BinReader& r, TileConfig& v, const Netlist&) { return db::decodeTileConfig(r, v); }
-bool decode(BinReader& r, TechNode& v, const Netlist&) { return db::decodeTechNode(r, v); }
-bool decode(BinReader& r, Beol& v, const Netlist&) { return db::decodeBeol(r, v); }
-bool decode(BinReader& r, Floorplan& v, const Netlist&) { return db::decodeFloorplan(r, v); }
-bool decode(BinReader& r, CtsResult& v, const Netlist&) { return db::decodeCtsResult(r, v); }
-bool decode(BinReader& r, RoutingResult& v, const Netlist&) {
-  return db::decodeRoutingResult(r, v);
-}
-bool decode(BinReader& r, std::vector<NetParasitics>& v, const Netlist&) {
-  return db::decodeParasitics(r, v);
-}
-bool decode(BinReader& r, ClockModel& v, const Netlist&) { return db::decodeClockModel(r, v); }
-bool decode(BinReader& r, DesignMetrics& v, const Netlist&) {
-  v = DesignMetrics{};
-  forEachDesignMetric(v, [&r](const char*, auto& f) { get(r, f); });
-  return r.ok();
-}
-bool decode(BinReader& r, VerifyReport& v, const Netlist&) {
-  return db::decodeVerifyReport(r, v);
-}
-
 /// The checkpoint's state sections, in file order after flow_meta and
 /// library (the pipeline trace follows them). Calls
 /// \p section(name, pipelineInput, member...) with that member of each
-/// FlowOutput in \p outs. The netlist comes first: decoders of later
-/// sections validate against it. A pipeline input is state the pipeline
+/// FlowOutput in \p outs. The netlist comes first: ids in later sections
+/// are checked against it. A pipeline input is state the pipeline
 /// reads but never writes: the in-pipeline restore keeps the live copy,
 /// because a stage-i checkpoint is valid for every input that enters the
 /// key chain only after stage i (a bump-pitch ECO changes the live BEOL but
@@ -111,7 +66,7 @@ DbStatus decodeSection(const DesignDb& dbFile, const char* name, Decode&& decode
                                                         "'");
   }
   BinReader r(*payload);
-  if (!decode(r) || !r.ok() || !r.atEnd()) {
+  if (!decode(r) || !r.atEnd()) {
     return DbStatus::fail(DbError::kMalformed, std::string("section '") + name +
                                                    "' failed to decode");
   }
@@ -126,7 +81,7 @@ DbStatus decodeDesign(const DesignDb& dbFile, FlowOutput& into, std::string& tra
   forEachSection(
       [&](const char* name, bool, auto& v) {
         if (!st.ok()) return;
-        st = decodeSection(dbFile, name, [&](BinReader& r) { return decode(r, v, nl); });
+        st = decodeSection(dbFile, name, [&](BinReader& r) { return db::decode(r, v, &nl); });
       },
       into);
   if (!st.ok()) return st;
@@ -147,10 +102,10 @@ db::DbStatus saveStageCheckpoint(const FlowOutput& out, const std::string& pipel
                       w.str(stageIdx >= 0 && stageIdx < 7 ? kPipelineStageNames[stageIdx] : "?");
                       w.u64(key);
                     }));
-  dbFile.setSection("library", payloadOf([&](BinWriter& w) { db::encodeLibrary(w, *out.lib); }));
+  dbFile.setSection("library", payloadOf([&](BinWriter& w) { db::encode(w, *out.lib); }));
   forEachSection(
       [&](const char* name, bool, const auto& v) {
-        dbFile.setSection(name, payloadOf([&](BinWriter& w) { encode(w, v); }));
+        dbFile.setSection(name, payloadOf([&](BinWriter& w) { db::encode(w, v); }));
       },
       out);
   dbFile.setSection("trace", payloadOf([&](BinWriter& w) { w.str(pipelineTrace); }));
@@ -168,7 +123,7 @@ db::DbStatus restoreStageCheckpoint(const std::string& path, FlowOutput& out,
   if (libSection == nullptr) {
     return DbStatus::fail(DbError::kMissingSection, "missing section 'library'");
   }
-  if (db::contentHash64(libSection->data(), libSection->size()) != db::hashLibrary(*out.lib)) {
+  if (db::contentHash64(libSection->data(), libSection->size()) != db::contentHash(*out.lib)) {
     return DbStatus::fail(DbError::kHashMismatch,
                           "checkpoint library does not match the live library");
   }
@@ -193,7 +148,7 @@ db::DbStatus loadFlowCheckpoint(const std::string& path, FlowOutput& out,
   FlowOutput loaded;
   loaded.lib = std::make_unique<Library>();
   if (DbStatus s = decodeSection(dbFile, "library",
-                                 [&](BinReader& r) { return db::decodeLibrary(r, *loaded.lib); });
+                                 [&](BinReader& r) { return db::decode(r, *loaded.lib); });
       !s.ok()) {
     return s;
   }

@@ -706,7 +706,7 @@ constexpr PipelineStage kPipeline[] = {
     // stack change re-keys route and everything after it, nothing above.
     {"route",
      [](HashStream& h, const FlowOutput& out, const FlowOptions& opt, const PipelineFlags&) {
-       h.u64(db::hashBeol(out.routingBeol));
+       h.u64(db::contentHash(out.routingBeol));
        h.f64(opt.grid.trackUtilization);
        h.f64(opt.grid.m1Utilization);
        h.i32(opt.router.maxIterations);
@@ -839,10 +839,10 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
   // Root: the pipeline entry state every stage transitively depends on.
   HashStream root;
   root.u32(kStageKeyVersion);
-  root.u64(db::hashLibrary(*out.lib));
-  root.u64(db::hashNetlist(out.tile->netlist));
-  root.u64(db::hashFloorplan(out.fp));
-  root.u64(db::hashTileGroups(out.tile->groups));
+  root.u64(db::contentHash(*out.lib));
+  root.u64(db::contentHash(out.tile->netlist));
+  root.u64(db::contentHash(out.fp));
+  root.u64(db::contentHash(out.tile->groups));
   std::array<std::uint64_t, 7> keys{};
   std::uint64_t prev = root.digest();
   for (int i = 0; i < kNumStages; ++i) {

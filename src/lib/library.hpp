@@ -23,6 +23,8 @@ class Library {
   int numCells() const { return static_cast<int>(cells_.size()); }
   const CellType& cell(CellTypeId id) const { return cells_[static_cast<std::size_t>(id)]; }
   CellType& cell(CellTypeId id) { return cells_[static_cast<std::size_t>(id)]; }
+  /// Every cell type, indexed by CellTypeId.
+  const std::vector<CellType>& cells() const { return cells_; }
 
   /// Id of the cell named \p name, or kInvalidCellType.
   CellTypeId findCell(const std::string& name) const;

@@ -133,6 +133,10 @@ class Netlist {
   const Net& net(NetId n) const { return nets_[static_cast<std::size_t>(n)]; }
   Port& port(PortId p) { return ports_[static_cast<std::size_t>(p)]; }
   const Port& port(PortId p) const { return ports_[static_cast<std::size_t>(p)]; }
+  /// The whole tables, indexed by id (read-only; restore() replaces them).
+  const std::vector<Instance>& instances() const { return insts_; }
+  const std::vector<Net>& nets() const { return nets_; }
+  const std::vector<Port>& ports() const { return ports_; }
 
   const CellType& cellOf(InstId i) const { return lib_->cell(instance(i).type); }
 

@@ -119,7 +119,7 @@ bool Client::request(const std::string& line, obs::JsonValue* resp, std::string*
 #endif
 }
 
-bool Client::ping(std::string* err) { return request(encodePing(), nullptr, err); }
+bool Client::ping(std::string* err) { return request(encodeOp("ping"), nullptr, err); }
 
 bool Client::submit(const JobSpec& spec, std::uint64_t* jobId, std::string* err) {
   obs::JsonValue resp;
@@ -175,7 +175,7 @@ bool Client::cancel(std::uint64_t jobId, std::string* err) {
 }
 
 bool Client::shutdownServer(std::string* err) {
-  return request(encodeShutdown(), nullptr, err);
+  return request(encodeOp("shutdown"), nullptr, err);
 }
 
 bool Client::runJob(const JobSpec& spec, JobResult* out, std::string* err) {

@@ -161,9 +161,9 @@ int main(int argc, char** argv) {
   }
 
   using m3d::serve::encodeJobOp;
-  if (cmd == "ping") return rawCommand(client, m3d::serve::encodePing());
-  if (cmd == "stats") return rawCommand(client, m3d::serve::encodeStats());
-  if (cmd == "shutdown") return rawCommand(client, m3d::serve::encodeShutdown());
+  if (cmd == "ping" || cmd == "stats" || cmd == "shutdown") {
+    return rawCommand(client, m3d::serve::encodeOp(cmd.c_str()));
+  }
 
   if (cmd == "submit" || cmd == "run") {
     m3d::serve::JobSpec spec;

@@ -49,6 +49,42 @@ bool readField(const obs::JsonValue& v, const char* key, std::string* dst, std::
   return true;
 }
 
+/// A JobKind crosses the wire as its name; absent keeps the default.
+bool readField(const obs::JsonValue& v, const char* key, JobKind* dst, std::string* err) {
+  std::string name = jobKindName(*dst);
+  if (!readField(v, key, &name, err)) return false;
+  if (name == "flow") {
+    *dst = JobKind::kFlow;
+  } else if (name == "eco") {
+    *dst = JobKind::kEco;
+  } else {
+    if (err != nullptr) *err = "unknown job kind '" + name + "'";
+    return false;
+  }
+  return true;
+}
+
+/// The JobSpec wire fields and their keys, in wire order. \p S is JobSpec
+/// or const JobSpec. Drives writeJson and fromJson, so a new field is added
+/// here once.
+template <typename S, typename F>
+void forEachSpecField(S& s, F&& field) {
+  field("kind", s.kind);
+  field("flow", s.flow);
+  field("tile", s.tile);
+  field("shrink", s.shrink);
+  field("threads", s.threads);
+  field("priority", s.priority);
+  field("max_freq_rounds", s.maxFreqRounds);
+  field("opt_max_passes", s.optMaxPasses);
+  field("signoff", s.signoff);
+  field("resume", s.resume);
+  field("macro_die_metals", s.macroDieMetals);
+  field("f2f_pitch_scale", s.f2fPitchScale);
+  field("place_engine", s.placeEngine);
+  field("label", s.label);
+}
+
 bool validFlowName(const std::string& f) {
   return f == "macro3d" || f == "2d" || f == "s2d" || f == "bf_s2d" || f == "c2d";
 }
@@ -121,20 +157,14 @@ std::string JobSpec::validate() const {
 
 void JobSpec::writeJson(obs::JsonWriter& w) const {
   w.beginObject();
-  w.kv("kind", jobKindName(kind));
-  w.kv("flow", std::string_view(flow));
-  w.kv("tile", std::string_view(tile));
-  w.kv("shrink", shrink);
-  w.kv("threads", threads);
-  w.kv("priority", priority);
-  w.kv("max_freq_rounds", maxFreqRounds);
-  w.kv("opt_max_passes", optMaxPasses);
-  w.kv("signoff", signoff);
-  w.kv("resume", resume);
-  w.kv("macro_die_metals", macroDieMetals);
-  w.kv("f2f_pitch_scale", f2fPitchScale);
-  w.kv("place_engine", std::string_view(placeEngine));
-  w.kv("label", std::string_view(label));
+  forEachSpecField(*this, [&w](const char* key, const auto& v) {
+    w.key(key);
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, JobKind>) {
+      w.value(jobKindName(v));
+    } else {
+      w.value(v);
+    }
+  });
   w.endObject();
 }
 
@@ -144,29 +174,11 @@ bool JobSpec::fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err) 
     return false;
   }
   JobSpec spec;
-  std::string kind = "flow";
-  if (!readField(v, "kind", &kind, err)) return false;
-  if (kind == "flow") {
-    spec.kind = JobKind::kFlow;
-  } else if (kind == "eco") {
-    spec.kind = JobKind::kEco;
-  } else {
-    if (err != nullptr) *err = "unknown job kind '" + kind + "'";
-    return false;
-  }
-  if (!readField(v, "flow", &spec.flow, err)) return false;
-  if (!readField(v, "tile", &spec.tile, err)) return false;
-  if (!readField(v, "shrink", &spec.shrink, err)) return false;
-  if (!readField(v, "threads", &spec.threads, err)) return false;
-  if (!readField(v, "priority", &spec.priority, err)) return false;
-  if (!readField(v, "max_freq_rounds", &spec.maxFreqRounds, err)) return false;
-  if (!readField(v, "opt_max_passes", &spec.optMaxPasses, err)) return false;
-  if (!readField(v, "signoff", &spec.signoff, err)) return false;
-  if (!readField(v, "resume", &spec.resume, err)) return false;
-  if (!readField(v, "macro_die_metals", &spec.macroDieMetals, err)) return false;
-  if (!readField(v, "f2f_pitch_scale", &spec.f2fPitchScale, err)) return false;
-  if (!readField(v, "place_engine", &spec.placeEngine, err)) return false;
-  if (!readField(v, "label", &spec.label, err)) return false;
+  bool ok = true;
+  forEachSpecField(spec, [&](const char* key, auto& field) {
+    ok = ok && readField(v, key, &field, err);
+  });
+  if (!ok) return false;
   const std::string invalid = spec.validate();
   if (!invalid.empty()) {
     if (err != nullptr) *err = invalid;
@@ -257,10 +269,10 @@ std::string oneLine(const std::function<void(obs::JsonWriter&)>& body) {
 
 }  // namespace
 
-std::string encodePing() {
-  return oneLine([](obs::JsonWriter& w) {
+std::string encodeOp(const char* op) {
+  return oneLine([&](obs::JsonWriter& w) {
     w.beginObject();
-    w.kv("op", "ping");
+    w.kv("op", op);
     w.endObject();
   });
 }
@@ -290,22 +302,6 @@ std::string encodeWait(std::uint64_t jobId, int timeoutMs) {
     w.kv("op", "wait");
     w.kv("job_id", static_cast<std::int64_t>(jobId));
     w.kv("timeout_ms", timeoutMs);
-    w.endObject();
-  });
-}
-
-std::string encodeStats() {
-  return oneLine([](obs::JsonWriter& w) {
-    w.beginObject();
-    w.kv("op", "stats");
-    w.endObject();
-  });
-}
-
-std::string encodeShutdown() {
-  return oneLine([](obs::JsonWriter& w) {
-    w.beginObject();
-    w.kv("op", "shutdown");
     w.endObject();
   });
 }

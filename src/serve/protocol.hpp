@@ -100,12 +100,12 @@ std::string hashToHex(std::uint64_t h);
 bool hexToHash(const std::string& s, std::uint64_t* out);
 
 /// One-line JSON encoders for the simple requests (client side).
-std::string encodePing();
+/// encodeOp covers the requests that carry only their verb: ping, stats and
+/// shutdown.
+std::string encodeOp(const char* op);
 std::string encodeSubmit(const JobSpec& spec);
 std::string encodeJobOp(const char* op, std::uint64_t jobId);
 std::string encodeWait(std::uint64_t jobId, int timeoutMs);
-std::string encodeStats();
-std::string encodeShutdown();
 
 /// One-line error response.
 std::string encodeError(const std::string& message);

@@ -8,9 +8,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <iterator>
 #include <limits>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -335,7 +337,7 @@ struct RandomDesign {
 
 std::vector<std::uint8_t> encodedNetlist(const Netlist& nl) {
   db::BinWriter w;
-  db::encodeNetlist(w, nl);
+  db::encode(w, nl);
   return w.take();
 }
 
@@ -346,20 +348,20 @@ TEST(DbCodec, NetlistSaveLoadSaveIsByteIdenticalRandomized) {
 
     Netlist copy(&d.lib);
     db::BinReader r(bytes);
-    ASSERT_TRUE(db::decodeNetlist(r, copy)) << "seed=" << seed;
+    ASSERT_TRUE(db::decode(r, copy)) << "seed=" << seed;
     ASSERT_TRUE(r.ok() && r.atEnd()) << "seed=" << seed;
     EXPECT_TRUE(copy.validate().empty()) << copy.validate();
 
     EXPECT_EQ(encodedNetlist(copy), bytes) << "seed=" << seed;
-    EXPECT_EQ(db::hashNetlist(copy), db::hashNetlist(d.nl)) << "seed=" << seed;
+    EXPECT_EQ(db::contentHash(copy), db::contentHash(d.nl)) << "seed=" << seed;
   }
 }
 
 TEST(DbCodec, NetlistHashIsPositionSensitive) {
   RandomDesign d(7);
-  const std::uint64_t before = db::hashNetlist(d.nl);
+  const std::uint64_t before = db::contentHash(d.nl);
   d.nl.instance(0).pos.x += 1;
-  EXPECT_NE(db::hashNetlist(d.nl), before);
+  EXPECT_NE(db::contentHash(d.nl), before);
 }
 
 TEST(DbCodec, NetlistDecodeFailsClosedOnTruncationAndCorruption) {
@@ -369,43 +371,43 @@ TEST(DbCodec, NetlistDecodeFailsClosedOnTruncationAndCorruption) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + static_cast<long>(len));
     Netlist copy(&d.lib);
     db::BinReader r(cut);
-    ASSERT_FALSE(db::decodeNetlist(r, copy) && r.atEnd()) << "len=" << len;
+    ASSERT_FALSE(db::decode(r, copy) && r.atEnd()) << "len=" << len;
   }
 }
 
 TEST(DbCodec, LibraryRoundTripIsByteIdentical) {
   RandomDesign d(5);
   db::BinWriter w;
-  db::encodeLibrary(w, d.lib);
+  db::encode(w, d.lib);
   const std::vector<std::uint8_t> bytes = w.take();
 
   Library copy;
   db::BinReader r(bytes);
-  ASSERT_TRUE(db::decodeLibrary(r, copy));
+  ASSERT_TRUE(db::decode(r, copy));
   ASSERT_TRUE(r.ok() && r.atEnd());
 
   db::BinWriter w2;
-  db::encodeLibrary(w2, copy);
+  db::encode(w2, copy);
   EXPECT_EQ(w2.buffer(), bytes);
-  EXPECT_EQ(db::hashLibrary(copy), db::hashLibrary(d.lib));
+  EXPECT_EQ(db::contentHash(copy), db::contentHash(d.lib));
 }
 
 TEST(DbCodec, FloorplanRoundTripIsByteIdenticalRandomized) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     RandomDesign d(seed);
     db::BinWriter w;
-    db::encodeFloorplan(w, d.fp);
+    db::encode(w, d.fp);
     const std::vector<std::uint8_t> bytes = w.take();
 
     Floorplan copy;
     db::BinReader r(bytes);
-    ASSERT_TRUE(db::decodeFloorplan(r, copy)) << "seed=" << seed;
+    ASSERT_TRUE(db::decode(r, copy)) << "seed=" << seed;
     ASSERT_TRUE(r.ok() && r.atEnd());
 
     db::BinWriter w2;
-    db::encodeFloorplan(w2, copy);
+    db::encode(w2, copy);
     EXPECT_EQ(w2.buffer(), bytes) << "seed=" << seed;
-    EXPECT_EQ(db::hashFloorplan(copy), db::hashFloorplan(d.fp));
+    EXPECT_EQ(db::contentHash(copy), db::contentHash(d.fp));
   }
 }
 
@@ -415,19 +417,19 @@ TEST(DbCodec, CombinedBeolRoundTripIsByteIdentical) {
   const Beol combined = buildCombinedBeol(logic.beol, macro.beol, F2fViaSpec{},
                                           MacroDieStackOrder::kFlipped);
   db::BinWriter w;
-  db::encodeBeol(w, combined);
+  db::encode(w, combined);
   const std::vector<std::uint8_t> bytes = w.take();
 
   Beol copy;
   db::BinReader r(bytes);
-  ASSERT_TRUE(db::decodeBeol(r, copy));
+  ASSERT_TRUE(db::decode(r, copy));
   ASSERT_TRUE(r.ok() && r.atEnd());
   EXPECT_TRUE(copy.validate().empty());
 
   db::BinWriter w2;
-  db::encodeBeol(w2, copy);
+  db::encode(w2, copy);
   EXPECT_EQ(w2.buffer(), bytes);
-  EXPECT_EQ(db::hashBeol(copy), db::hashBeol(combined));
+  EXPECT_EQ(db::contentHash(copy), db::contentHash(combined));
 }
 
 TEST(DbCodec, BeolHashSeesF2fViaPitch) {
@@ -439,7 +441,7 @@ TEST(DbCodec, BeolHashSeesF2fViaPitch) {
   f2f.pitch *= 2;
   const Beol b = buildCombinedBeol(logic.beol, macro.beol, f2f,
                                    MacroDieStackOrder::kFlipped);
-  EXPECT_NE(db::hashBeol(a), db::hashBeol(b));
+  EXPECT_NE(db::contentHash(a), db::contentHash(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,11 +525,250 @@ TEST(DbCheckpoint, FailedRestoreLeavesTheLiveStateUntouched) {
   dbFile.setSection("clock", {0x01});  // truncated: fails to decode
   ASSERT_TRUE(dbFile.saveFile(path).ok());
 
-  const std::uint64_t netlistBefore = db::hashNetlist(live.tile->netlist);
+  const std::uint64_t netlistBefore = db::contentHash(live.tile->netlist);
   std::string restoredTrace;
   EXPECT_EQ(restoreStageCheckpoint(path, live, restoredTrace).error, db::DbError::kMalformed);
-  EXPECT_EQ(db::hashNetlist(live.tile->netlist), netlistBefore);
+  EXPECT_EQ(db::contentHash(live.tile->netlist), netlistBefore);
   fs::remove(path);
+}
+
+/// Runs the tiny-tile Macro-3D flow with its stage cache in \p dir (emptied
+/// first). The signoff checkpoint is the result's finalCheckpointPath.
+FlowOutput runTinyFlowCached(const std::string& dir) {
+  fs::remove_all(dir);
+  FlowOptions opt = dbTinyOptions();
+  opt.checkpointDir = dir;
+  return runFlowMacro3D(makeTinyTileConfig(), opt);
+}
+
+// The bytes of every section of the tiny flow's signoff checkpoint, pinned
+// by their content hashes. A format change that the writer and the reader
+// make together passes every round trip; it fails here. Re-record only with
+// a format or stage-key version bump or a deliberate QoR change.
+TEST(DbCheckpoint, SectionBytesArePinned) {
+  const std::string dir = tempPath("m3d_db_pinned");
+  const FlowOutput out = runTinyFlowCached(dir);
+  db::DesignDb dbFile;
+  ASSERT_TRUE(dbFile.loadFile(out.finalCheckpointPath).ok());
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"flow_meta", 0x06e28eb2e0cde56aull},    {"library", 0xce29402b17501b5aull},
+      {"netlist", 0x9714d160eb8c28eeull},      {"groups", 0x8adb492a02cf0f1cull},
+      {"tile_config", 0x5cb16ebb6f1262b5ull},  {"logic_tech", 0xc2744c33e7e1d44bull},
+      {"macro_tech", 0xc2744c33e7e1d44bull},   {"routing_beol", 0xf2175e92bdd95b61ull},
+      {"floorplan", 0xf92d7649f5e1c604ull},    {"cts", 0xa47ff2b434b2d5d4ull},
+      {"routes", 0x26d5fa04b5622165ull},       {"parasitics", 0xf3999b2f395bebc7ull},
+      {"clock", 0x0df11cf46f98cc93ull},        {"metrics", 0x8cc424206fbbcb2aull},
+      {"verify", 0x444dd61dda3bb4c3ull},       {"trace", 0xd6dca29bb8d03288ull},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> actual;
+  std::ostringstream table;  // printed in the form of `expected`
+  for (const std::string& name : dbFile.sectionNames()) {
+    actual.emplace_back(name, dbFile.sectionHash(name));
+    table << "      {\"" << name << "\", 0x" << std::hex << std::setw(16) << std::setfill('0')
+          << dbFile.sectionHash(name) << "ull},\n";
+  }
+  EXPECT_EQ(actual, expected) << "actual section hashes:\n" << table.str();
+  fs::remove_all(dir);
+}
+
+// Every section the loaders decode fails closed when cut short, at the
+// first bytes, in the middle and at each of the last eight. The cut payload
+// is stored through setSection, so every hash still matches and only the
+// decoder can reject it.
+TEST(DbCheckpoint, TruncatedSectionsFailClosed) {
+  const std::string dir = tempPath("m3d_db_truncated");
+  const FlowOutput out = runTinyFlowCached(dir);
+  db::DesignDb ref;
+  ASSERT_TRUE(ref.loadFile(out.finalCheckpointPath).ok());
+  const std::string path = dir + "/truncated.m3ddb";
+  int decodedSections = 0;
+  for (const std::string& name : ref.sectionNames()) {
+    if (name == "flow_meta") continue;  // written for inspection, never decoded
+    ++decodedSections;
+    const std::vector<std::uint8_t>& full = *ref.section(name);
+    const std::size_t n = full.size();
+    std::set<std::size_t> cuts = {0, 1, n / 4, n / 2, 3 * n / 4};
+    for (std::size_t k = 1; k <= 8 && k <= n; ++k) cuts.insert(n - k);
+    for (const std::size_t len : cuts) {
+      if (len >= n) continue;
+      db::DesignDb cut = ref;
+      cut.setSection(name, std::vector<std::uint8_t>(full.begin(),
+                                                     full.begin() + static_cast<long>(len)));
+      ASSERT_TRUE(cut.saveFile(path).ok());
+      FlowOutput loaded;
+      EXPECT_EQ(loadFlowCheckpoint(path, loaded).error, db::DbError::kMalformed)
+          << "section '" << name << "' cut to " << len << " of " << n << " bytes";
+      EXPECT_TRUE(loaded.tile == nullptr);
+    }
+  }
+  EXPECT_EQ(decodedSections, 15);
+  fs::remove_all(dir);
+}
+
+// Ids that one section holds into the netlist are range-checked. The
+// section hashes are unkeyed, so a checkpoint with matching hashes can still
+// hold a CTS buffer, route table or latency vector that does not fit the
+// netlist; it must fail closed instead of crashing the stage after it.
+TEST(DbCheckpoint, CrossSectionIdsAreRangeChecked) {
+  FlowOutput live = runFlowMacro3D(makeTinyTileConfig(), dbTinyOptions());
+  ASSERT_FALSE(live.cts.buffers.empty());
+  ASSERT_FALSE(live.routes.nets.empty());
+  ASSERT_FALSE(live.clock.latency.empty());
+  const std::string refPath = tempPath("m3d_db_ids_ref.m3ddb");
+  const std::string path = tempPath("m3d_db_ids.m3ddb");
+  ASSERT_TRUE(saveStageCheckpoint(live, live.trace, 6, 1, refPath).ok());
+  std::vector<std::uint8_t> refBytes;
+  ASSERT_TRUE(io::readFileBytes(refPath, refBytes));
+  FlowOutput intact;
+  ASSERT_TRUE(loadFlowCheckpoint(refPath, intact).ok());
+
+  const std::pair<const char*, std::function<void(FlowOutput&)>> doctored[] = {
+      {"CTS inst out of range",
+       [](FlowOutput& o) { o.cts.buffers[0].inst = o.tile->netlist.numInstances(); }},
+      {"CTS inputNet out of range", [](FlowOutput& o) { o.cts.buffers[0].inputNet = -1; }},
+      {"CTS outputNet out of range",
+       [](FlowOutput& o) { o.cts.buffers[0].outputNet = o.tile->netlist.numNets(); }},
+      {"one route net short", [](FlowOutput& o) { o.routes.nets.pop_back(); }},
+      {"one latency entry short", [](FlowOutput& o) { o.clock.latency.pop_back(); }},
+  };
+  for (const auto& [what, doctor] : doctored) {
+    SCOPED_TRACE(what);
+    const CtsResult cts = live.cts;
+    const RoutingResult routes = live.routes;
+    const ClockModel clock = live.clock;
+    doctor(live);
+    ASSERT_TRUE(saveStageCheckpoint(live, live.trace, 6, 1, path).ok());
+    live.cts = cts;
+    live.routes = routes;
+    live.clock = clock;
+
+    FlowOutput loaded;
+    EXPECT_EQ(loadFlowCheckpoint(path, loaded).error, db::DbError::kMalformed);
+    EXPECT_TRUE(loaded.tile == nullptr);
+    std::string trace;
+    EXPECT_EQ(restoreStageCheckpoint(path, live, trace).error, db::DbError::kMalformed);
+    // The live state re-saves to the same bytes: the failed restore left it.
+    ASSERT_TRUE(saveStageCheckpoint(live, live.trace, 6, 1, path).ok());
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(io::readFileBytes(path, bytes));
+    EXPECT_TRUE(bytes == refBytes) << "the failed restore changed the live state";
+  }
+  fs::remove(refPath);
+  fs::remove(path);
+}
+
+/// Whether \p v, encoded as it is (the writer checks nothing), decodes back
+/// into \p out against \p design.
+template <typename T>
+bool decodes(const T& v, T out, const Netlist* design = nullptr) {
+  db::BinWriter w;
+  db::encode(w, v);
+  const std::vector<std::uint8_t> bytes = w.take();
+  db::BinReader r(bytes);
+  return db::decode(r, out, design) && r.atEnd();
+}
+
+// Every rule the decoders enforce, broken one at a time in otherwise intact
+// state of the tiny flow, makes the decode fail.
+TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
+  const FlowOutput o = runFlowMacro3D(makeTinyTileConfig(), dbTinyOptions());
+  const Library& lib = *o.lib;
+  const Netlist& nl = o.tile->netlist;
+  const CellTypeId inv = lib.findCell("INV_X1");
+  const auto library = [&](auto edit) {
+    Library l = lib;
+    edit(l);
+    return decodes(l, Library{});
+  };
+  const auto cell = [&](auto edit) { return library([&](Library& l) { edit(l.cell(inv)); }); };
+  const auto netlist = [&](auto edit) {
+    Netlist n = nl;
+    edit(n);
+    return decodes(n, Netlist(&lib));
+  };
+  // The first net pin of \p kind.
+  const auto pinOf = [](Netlist& n, NetPin::Kind kind) -> NetPin& {
+    for (NetId i = 0;; ++i) {
+      for (NetPin& p : n.net(i).pins) {
+        if (p.kind == kind) return p;
+      }
+    }
+  };
+  const auto instPin = [&](Netlist& n) -> NetPin& { return pinOf(n, NetPin::Kind::kInstPin); };
+  const auto beol = [&](auto edit) {
+    Beol b = o.routingBeol;
+    edit(b);
+    return decodes(b, Beol{});
+  };
+  Beol noCut;  // two metals' worth of layers short of a cut
+  noCut.addMetal(o.routingBeol.metal(0));
+  noCut.addCut(o.routingBeol.cut(0));
+  // A copy of \p v edited by \p edit, decoded against the flow's netlist.
+  const auto inDesign = [&](auto v, auto edit) {
+    edit(v);
+    return decodes(v, decltype(v){}, &nl);
+  };
+  using Groups = TileGroups;
+  using Routes = RoutingResult;
+  const std::pair<const char*, bool> decoded[] = {
+      {"empty cell name", cell([](CellType& c) { c.name.clear(); })},
+      {"duplicate cell name", library([](Library& l) { l.cell(1).name = l.cell(0).name; })},
+      {"cell class", cell([](CellType& c) { c.cls = CellClass{5}; })},
+      {"cell width", cell([](CellType& c) { c.width = 0; })},
+      {"cell height", cell([](CellType& c) { c.height = -1; })},
+      {"substrate width", cell([](CellType& c) { c.substrateWidth = -1; })},
+      {"substrate height", cell([](CellType& c) { c.substrateHeight = -1; })},
+      {"pin direction", cell([](CellType& c) { c.pins[0].dir = PinDir{3}; })},
+      {"arc from pin", cell([](CellType& c) { c.arcs[0].fromPin = 99; })},
+      {"arc to pin", cell([](CellType& c) { c.arcs[0].toPin = -1; })},
+      {"filler below -1", library([](Library& l) { l.setFillerCell(-2); })},
+      {"filler past the cells", library([](Library& l) { l.setFillerCell(l.numCells()); })},
+      {"instance cell", netlist([&](Netlist& n) { n.instance(0).type = lib.numCells(); })},
+      {"instance die", netlist([](Netlist& n) { n.instance(0).die = DieId{2}; })},
+      {"pin net count", netlist([](Netlist& n) { n.instance(0).pinNets.push_back(-1); })},
+      {"pin net", netlist([](Netlist& n) { n.instance(0).pinNets[0] = n.numNets(); })},
+      {"net pin kind", netlist([&](Netlist& n) { instPin(n).kind = NetPin::Kind{2}; })},
+      {"net pin instance", netlist([&](Netlist& n) { instPin(n).inst = -1; })},
+      {"net pin lib pin", netlist([&](Netlist& n) { instPin(n).libPin = 99; })},
+      {"net pin port",
+       netlist([&](Netlist& n) { pinOf(n, NetPin::Kind::kPort).port = n.numPorts(); })},
+      {"net driver", netlist([](Netlist& n) { n.net(0).driverIdx = -2; })},
+      {"port direction", netlist([](Netlist& n) { n.port(0).dir = PinDir{3}; })},
+      {"port side", netlist([](Netlist& n) { n.port(0).side = Side{4}; })},
+      {"port net", netlist([](Netlist& n) { n.port(0).net = n.numNets(); })},
+      {"group instance", inDesign(o.tile->groups, [](Groups& g) { g.nocCells.push_back(-1); })},
+      {"module instance",
+       inDesign(o.tile->groups, [&](Groups& g) { g.modules.push_back({"m", {-1}}); })},
+      {"clock net", inDesign(o.tile->groups, [&](Groups& g) { g.clockNet = nl.numNets(); })},
+      {"clock port", inDesign(o.tile->groups, [](Groups& g) { g.clockPort = -2; })},
+      {"metal direction", beol([](Beol& b) { b.metal(0).dir = LayerDir{2}; })},
+      {"metal die", beol([](Beol& b) { b.metal(0).die = DieId{2}; })},
+      {"cut die", beol([](Beol& b) { b.cut(0).die = DieId{2}; })},
+      {"metal/cut alternation", decodes(noCut, Beol{})},
+      {"CTS parent order", inDesign(o.cts, [](CtsResult& c) { c.buffers[0].parent = 0; })},
+      {"CTS cell", inDesign(o.cts, [&](CtsResult& c) { c.buffers[0].inst = nl.numInstances(); })},
+      {"CTS input net", inDesign(o.cts, [](CtsResult& c) { c.buffers[0].inputNet = -1; })},
+      {"CTS output net",
+       inDesign(o.cts, [&](CtsResult& c) { c.buffers[0].outputNet = nl.numNets(); })},
+      {"route layer", inDesign(o.routes, [](Routes& r) { r.nets[0].segs = {{false, -1, 0, 0}}; })},
+      {"route node", inDesign(o.routes, [](Routes& r) { r.nets[0].segs = {{true, 0, -1, 0}}; })},
+      {"route table length", inDesign(o.routes, [](Routes& r) { r.nets.pop_back(); })},
+      {"latency count", inDesign(o.clock, [](ClockModel& c) { c.latency.push_back(0.0); })},
+      {"violation kind", inDesign(o.verify, [](VerifyReport& v) {
+         v.violations.emplace_back();
+         v.violations.back().kind = ViolationKind{99};
+       })},
+  };
+  for (const auto& [what, ok] : decoded) EXPECT_FALSE(ok) << what;
+  // The intact state decodes, and so do an unrouted design and an ideal clock.
+  EXPECT_TRUE(library([](Library&) {}));
+  EXPECT_TRUE(netlist([](Netlist&) {}));
+  EXPECT_TRUE(beol([](Beol&) {}));
+  EXPECT_TRUE(inDesign(o.tile->groups, [](Groups&) {}));
+  EXPECT_TRUE(inDesign(o.cts, [](CtsResult&) {}));
+  EXPECT_TRUE(inDesign(o.routes, [](Routes& r) { r.nets.clear(); }));
+  EXPECT_TRUE(inDesign(o.clock, [](ClockModel& c) { c.latency.clear(); }));
+  EXPECT_TRUE(inDesign(o.verify, [](VerifyReport&) {}));
 }
 
 TEST(FlowDbCache, WarmRerunRestoresAllStagesBitIdentical) {
@@ -658,7 +899,7 @@ TEST(FlowDbCache, StandaloneCheckpointLoadReconstructsTheRun) {
   EXPECT_EQ(loaded.metrics.fclkMhz, ref.metrics.fclkMhz);
   EXPECT_EQ(loaded.metrics.emeanFj, ref.metrics.emeanFj);
   EXPECT_EQ(loaded.verify, ref.verify);
-  EXPECT_EQ(db::hashNetlist(loaded.tile->netlist), db::hashNetlist(ref.tile->netlist));
+  EXPECT_EQ(db::contentHash(loaded.tile->netlist), db::contentHash(ref.tile->netlist));
   EXPECT_FALSE(trace.empty());
 
   // Corrupting the file must fail the standalone load closed, too.
@@ -839,10 +1080,10 @@ TEST(FlowDbCache, UnreadValuesLeaveResultsUnchanged) {
       u.perturb(opt);
       const FlowOutput out = run(makeTinyTileConfig(), opt);
       EXPECT_EQ(metricsJson(out.metrics), metricsJson(base.metrics));
-      EXPECT_EQ(bytesOf([&](db::BinWriter& w) { db::encodeNetlist(w, out.tile->netlist); }),
-                bytesOf([&](db::BinWriter& w) { db::encodeNetlist(w, base.tile->netlist); }));
-      EXPECT_EQ(bytesOf([&](db::BinWriter& w) { db::encodeRoutingResult(w, out.routes); }),
-                bytesOf([&](db::BinWriter& w) { db::encodeRoutingResult(w, base.routes); }));
+      EXPECT_EQ(bytesOf([&](db::BinWriter& w) { db::encode(w, out.tile->netlist); }),
+                bytesOf([&](db::BinWriter& w) { db::encode(w, base.tile->netlist); }));
+      EXPECT_EQ(bytesOf([&](db::BinWriter& w) { db::encode(w, out.routes); }),
+                bytesOf([&](db::BinWriter& w) { db::encode(w, base.routes); }));
     }
   }
 }

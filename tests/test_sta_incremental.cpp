@@ -445,7 +445,7 @@ TEST(StaIncrOptimizer, CallerEngineMatchesScratchAfterOptimization) {
   EXPECT_EQ(mf.cellsResized, resized);
   EXPECT_EQ(mf.buffersInserted, buffers);
   EXPECT_EQ(mf.minPeriod, best);
-  EXPECT_EQ(db::hashNetlist(q.nl_), db::hashNetlist(p.nl_));
+  EXPECT_EQ(db::contentHash(q.nl_), db::contentHash(p.nl_));
 }
 
 TEST(StaIncrOptimizer, ZeroPassesSkipsTheInitialProbe) {
