@@ -2,16 +2,19 @@
 /// Minimal end-to-end tour of the library: generate the small-cache
 /// OpenPiton tile, run the 2D baseline and the Macro-3D flow, and print the
 /// head-to-head comparison. All artifacts land in examples_out/ (gitignored,
-/// regenerated on demand). ~1 minute of runtime.
+/// regenerated on demand), among them the finished Macro-3D design as one
+/// design-database file, examples_out/macro3d_small.m3ddb, which
+/// loadFlowCheckpoint reads back. Runs in a few seconds (3.3 s on a
+/// 4-vCPU x86-64 VM).
 
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 
 #include "core/macro3d.hpp"
+#include "flows/flow_checkpoint.hpp"
 #include "flows/flows.hpp"
 #include "io/fsutil.hpp"
-#include "io/lefdef.hpp"
 #include "report/run_report_table.hpp"
 #include "report/table.hpp"
 
@@ -86,9 +89,14 @@ int main() {
             std::to_string(m3.metrics.clockTreeDepth)});
   std::cout << t.str() << std::endl;
 
-  // Export the Macro-3D implementation as m3d-LEF/DEF interchange files.
-  writeLefFile(outDir + "/macro3d_small.lef", m3.logicTech, *m3.lib);
-  writeDefFile(outDir + "/macro3d_small.def", "tile_small", m3.tile->netlist, m3.fp);
-  std::cout << "wrote " << outDir << "/macro3d_small.lef / macro3d_small.def" << std::endl;
+  // Export the finished Macro-3D design (library, netlist, BEOL, floorplan,
+  // routes, parasitics, metrics, signoff report) as a signoff-stage
+  // checkpoint.
+  const std::string dbPath = outDir + "/macro3d_small.m3ddb";
+  if (const db::DbStatus st = saveStageCheckpoint(m3, m3.trace, 6, 0, dbPath); !st.ok()) {
+    std::cerr << "cannot write " << dbPath << ": " << st.detail << std::endl;
+    return 1;
+  }
+  std::cout << "wrote " << dbPath << std::endl;
   return 0;
 }

@@ -23,7 +23,8 @@
 ///
 /// Ids that point into the design are checked against the checkpoint's
 /// netlist (IdBounds): the tile groups, each CTS buffer's cell and nets, the
-/// route table (one route per net, or none yet) and the clock latencies (one
+/// route table (one route per net, or none yet), the parasitics (one entry
+/// per net with one value per pin, or none) and the clock latencies (one
 /// per instance, or none). The section hashes are unkeyed, so this is what
 /// keeps a checkpoint with matching hashes from handing the next stage an
 /// out-of-range id.
@@ -52,12 +53,14 @@
 namespace m3d::db {
 
 /// Bounds of the ids a payload holds into the design: the sizes of the
-/// checkpoint's netlist. All zero when writing (the writer checks nothing)
-/// and when decoding without a netlist.
+/// checkpoint's netlist, and the netlist itself for the rules that index it.
+/// All zero (and no netlist) when writing (the writer checks nothing) and
+/// when decoding without a netlist.
 struct IdBounds {
   std::int32_t instances = 0;
   std::int32_t nets = 0;
   std::int32_t ports = 0;
+  const Netlist* design = nullptr;
 };
 
 // The payload types: Library, Netlist, TileGroups, TileConfig, Beol,
@@ -84,7 +87,9 @@ template <typename T>
 template <typename T>
 bool decode(BinReader& r, T& v, const Netlist* design = nullptr) {
   IdBounds ids;
-  if (design != nullptr) ids = {design->numInstances(), design->numNets(), design->numPorts()};
+  if (design != nullptr) {
+    ids = {design->numInstances(), design->numNets(), design->numPorts(), design};
+  }
   code(r, v, ids);
   return r.ok();
 }
@@ -361,12 +366,23 @@ void code(Io& io, R& routes, const IdBounds& ids) {
 // --- Parasitics / clock model ------------------------------------------------
 
 template <typename Io, MaybeConst<std::vector<NetParasitics>> V>
-void code(Io& io, V& paras, const IdBounds&) {
+void code(Io& io, V& paras, const IdBounds& ids) {
   codeVector(io, paras, 40, [&](auto& p) {
     io(p.wireCap, p.pinCap, p.totalRes);
     codeVector(io, p.sinkWireDelay, 8);
     codeVector(io, p.sinkWireLengthUm, 8);
   });
+  // Indexed by NetId, and each entry's vectors by its net's pins: one entry
+  // per net, or none (before the estimate, and from CTS to extraction).
+  io.check(paras.empty() || paras.size() == static_cast<std::size_t>(ids.nets));
+  if constexpr (Io::kReading) {
+    if (!io.ok() || paras.empty()) return;
+    for (NetId n = 0; n < ids.nets; ++n) {
+      const std::size_t pins = ids.design->net(n).pins.size();
+      const NetParasitics& p = paras[static_cast<std::size_t>(n)];
+      if (!io.check(p.sinkWireDelay.size() == pins && p.sinkWireLengthUm.size() == pins)) return;
+    }
+  }
 }
 
 template <typename Io, MaybeConst<ClockModel> C>

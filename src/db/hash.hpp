@@ -9,8 +9,7 @@
 ///    reads eight bytes per step on four independent lanes, so it runs at
 ///    memory speed where a byte-serial hash would dominate checkpoint I/O.
 ///  - HashStream: a typed incremental FNV-1a hasher used to build stage-
-///    cache keys from tens of bytes of heterogeneous option fields (and
-///    mixHash, which chains two digests through it).
+///    cache keys from tens of bytes of heterogeneous option fields.
 ///
 /// Dependency-free by design (the repo bakes in no hashing library) and
 /// stable across platforms: multi-byte values are read and folded in
@@ -157,13 +156,5 @@ class HashStream {
 
   std::uint64_t h_ = kFnvOffsetBasis;
 };
-
-/// Order-dependent combination of two digests (used to chain stage keys).
-inline std::uint64_t mixHash(std::uint64_t a, std::uint64_t b) {
-  HashStream hs;
-  hs.u64(a);
-  hs.u64(b);
-  return hs.digest();
-}
 
 }  // namespace m3d::db

@@ -272,16 +272,6 @@ std::vector<Blockage> compositeBlockages(const std::vector<Rect>& rects, const R
   return out;
 }
 
-std::int64_t logicCellArea(const Netlist& nl) {
-  std::int64_t area = 0;
-  for (InstId i = 0; i < nl.numInstances(); ++i) {
-    const CellType& c = nl.cellOf(i);
-    if (c.isMacro() || c.cls == CellClass::kFiller) continue;
-    area += c.substrateArea();
-  }
-  return area;
-}
-
 void seedPlacementByModules(Tile& tile, const Floorplan& fp) {
   Netlist& nl = tile.netlist;
   const Point dieCenter = fp.die.center();
@@ -482,6 +472,9 @@ void runCts(FlowOutput& out, const FlowOptions& opt, const PipelineFlags&,
   Netlist& nl = out.tile->netlist;
   out.cts = synthesizeClockTree(nl, out.tile->groups.clockNet, out.fp, opt.cts);
   legalize(nl, out.fp);
+  // The pre-route estimate no longer fits the netlist (new buffer nets, a
+  // split clock net) and nothing reads it before extraction replaces it.
+  out.paras.clear();
   phase.attr("sinks", out.cts.numSinks);
   phase.attr("buffers", static_cast<double>(out.cts.buffers.size()));
   phase.attr("depth", out.cts.maxDepth);
@@ -582,6 +575,17 @@ void runPostRouteOpt(FlowOutput& out, const FlowOptions& opt, const PipelineFlag
   phase.attr("cells_resized", r.cellsResized);
   trace << "post-route opt: resized=" << r.cellsResized << "\n";
   M3D_LOG(info) << "post-route opt done: resized=" << r.cellsResized;
+}
+
+/// Sum of substrate areas of placed standard cells (excl. macros/fillers).
+std::int64_t logicCellArea(const Netlist& nl) {
+  std::int64_t area = 0;
+  for (InstId i = 0; i < nl.numInstances(); ++i) {
+    const CellType& c = nl.cellOf(i);
+    if (c.isMacro() || c.cls == CellClass::kFiller) continue;
+    area += c.substrateArea();
+  }
+  return area;
 }
 
 /// Sign-off STA + power, then independent physical verification.

@@ -303,9 +303,6 @@ void projectMacroDieMacros(Netlist& nl, Library& lib, const TechNode& tech);
 std::vector<Blockage> compositeBlockages(const std::vector<Rect>& rects, const Rect& die,
                                          Dbu resolution, double densityPerRect);
 
-/// Sum of substrate areas of placed standard cells (excl. macros/fillers).
-std::int64_t logicCellArea(const Netlist& nl);
-
 /// Flow-driver observability bracket. beginFlowRun starts the trace export
 /// (FlowOptions::traceOut / M3D_TRACE_OUT), opens the run's root span, and
 /// logs the start line; finishFlowRun copies the numeric DesignMetrics into

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file fsutil.hpp
-/// Small filesystem helpers shared by the writers in this directory and the
-/// design database (src/db): directory creation and atomic whole-file
-/// replacement. Kept dependency-free (std::filesystem + <fstream> only).
+/// Small filesystem helpers for the design database (src/db), the flows and
+/// the flow service: directory creation, atomic whole-file replacement and
+/// whole-file reads. Kept dependency-free (std::filesystem + <fstream> only).
 
 #include <cstdint>
 #include <span>

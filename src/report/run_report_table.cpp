@@ -1,7 +1,5 @@
 #include "report/run_report_table.hpp"
 
-#include <algorithm>
-
 namespace m3d {
 
 namespace {
@@ -28,32 +26,6 @@ Table runReportSpanTable(const obs::RunReport& report, int maxDepth) {
   Table t("Phase timing: " + report.flow + " / " + report.tile);
   t.setHeader({"phase", "wall [ms]", "self [ms]", "share", "RSS delta [KB]"});
   addSpanRows(t, report.root, report.root, 0, maxDepth);
-  return t;
-}
-
-Table runReportMetricsTable(const obs::RunReport& report) {
-  Table t("Run metrics: " + report.flow + " / " + report.tile);
-  t.setHeader({"metric", "count", "min", "mean", "max", "last"});
-  for (const auto& [name, v] : report.counters) {
-    t.addRow({name, "1", "-", "-", "-", std::to_string(v)});
-  }
-  for (const obs::RunReport::SeriesSlice& s : report.series) {
-    if (s.points.empty()) continue;
-    const double mn = *std::min_element(s.points.begin(), s.points.end());
-    const double mx = *std::max_element(s.points.begin(), s.points.end());
-    double sum = 0.0;
-    for (double v : s.points) sum += v;
-    t.addRow({s.name, std::to_string(s.points.size()), Table::num(mn, 3),
-              Table::num(sum / static_cast<double>(s.points.size()), 3), Table::num(mx, 3),
-              Table::num(s.points.back(), 3)});
-  }
-  return t;
-}
-
-Table runReportFinalsTable(const obs::RunReport& report) {
-  Table t("Final metrics: " + report.flow + " / " + report.tile);
-  t.setHeader({"metric", "value"});
-  for (const auto& [name, v] : report.finals) t.addRow({name, Table::num(v, 3)});
   return t;
 }
 

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file run_report_table.hpp
-/// Human-readable rendering of an obs::RunReport as report::Table: one
-/// table for the span tree (phase, wall-clock, share of parent, peak RSS)
-/// and one for the recorded metrics (counters + series summaries).
+/// Human-readable rendering of an obs::RunReport as report::Table: the span
+/// tree (phase, wall-clock, share of parent, peak RSS).
 
 #include "obs/run_report.hpp"
 #include "report/table.hpp"
@@ -13,12 +12,5 @@ namespace m3d {
 /// Span tree flattened to rows; nesting shown by indentation. \p maxDepth
 /// limits how deep per-iteration spans are expanded.
 Table runReportSpanTable(const obs::RunReport& report, int maxDepth = 3);
-
-/// Counters (deltas over the run) and series summaries (count/min/mean/max/last).
-Table runReportMetricsTable(const obs::RunReport& report);
-
-/// Flow-final metrics (DesignMetrics snapshot incl. the signoff verdict
-/// fields verify_violations / verify_warnings / verify_f2f_bumps).
-Table runReportFinalsTable(const obs::RunReport& report);
 
 }  // namespace m3d

@@ -11,6 +11,25 @@
 
 namespace m3d::serve {
 
+namespace {
+
+/// Parses "state" out of a status/wait response; false when it is absent or
+/// names no state.
+bool parseJobState(const obs::JsonValue& resp, JobState* state) {
+  const obs::JsonValue* s = resp.find("state");
+  if (s == nullptr || !s->isString()) return false;
+  for (JobState cand : {JobState::kQueued, JobState::kRunning, JobState::kDone,
+                        JobState::kFailed, JobState::kCancelled}) {
+    if (s->str == jobStateName(cand)) {
+      *state = cand;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 Client::~Client() { close(); }
 
 void Client::close() {
@@ -131,19 +150,6 @@ bool Client::submit(const JobSpec& spec, std::uint64_t* jobId, std::string* err)
   }
   if (jobId != nullptr) *jobId = static_cast<std::uint64_t>(id->number);
   return true;
-}
-
-bool parseJobState(const obs::JsonValue& resp, JobState* state) {
-  const obs::JsonValue* s = resp.find("state");
-  if (s == nullptr || !s->isString()) return false;
-  for (JobState cand : {JobState::kQueued, JobState::kRunning, JobState::kDone,
-                        JobState::kFailed, JobState::kCancelled}) {
-    if (s->str == jobStateName(cand)) {
-      *state = cand;
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Client::waitJob(std::uint64_t jobId, int timeoutMs, JobState* state,

@@ -51,7 +51,4 @@ class Client {
   std::string rxBuf_;
 };
 
-/// Parses "state" out of a status/wait response ("" on absence).
-bool parseJobState(const obs::JsonValue& resp, JobState* state);
-
 }  // namespace m3d::serve

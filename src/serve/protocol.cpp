@@ -15,7 +15,8 @@ namespace {
 /// naming the key. Unknown keys are ignored so older clients can talk to
 /// newer daemons.
 template <typename T>
-  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool> &&
+           !std::is_same_v<T, std::uint64_t>)
 bool readField(const obs::JsonValue& v, const char* key, T* dst, std::string* err) {
   const obs::JsonValue* f = v.find(key);
   if (f == nullptr) return true;
@@ -64,6 +65,32 @@ bool readField(const obs::JsonValue& v, const char* key, JobKind* dst, std::stri
   return true;
 }
 
+/// A 64-bit hash crosses the wire as hex (see protocol.hpp); absent or
+/// empty keeps the default.
+bool readField(const obs::JsonValue& v, const char* key, std::uint64_t* dst, std::string* err) {
+  std::string hex;
+  if (!readField(v, key, &hex, err)) return false;
+  if (!hex.empty() && !hexToHash(hex, dst)) {
+    if (err != nullptr) *err = std::string(key) + " is not a 64-bit hex string";
+    return false;
+  }
+  return true;
+}
+
+/// Writes one wire field: a JobKind as its name, a 64-bit hash as hex, any
+/// other value as it is.
+template <typename T>
+void writeField(obs::JsonWriter& w, const char* key, const T& v) {
+  w.key(key);
+  if constexpr (std::is_same_v<T, JobKind>) {
+    w.value(jobKindName(v));
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.value(hashToHex(v));
+  } else {
+    w.value(v);
+  }
+}
+
 /// The JobSpec wire fields and their keys, in wire order. \p S is JobSpec
 /// or const JobSpec. Drives writeJson and fromJson, so a new field is added
 /// here once.
@@ -83,6 +110,20 @@ void forEachSpecField(S& s, F&& field) {
   field("f2f_pitch_scale", s.f2fPitchScale);
   field("place_engine", s.placeEngine);
   field("label", s.label);
+}
+
+/// The JobResult wire fields after "metrics" (an object of its own), in
+/// wire order, as forEachSpecField is for JobSpec.
+template <typename R, typename F>
+void forEachResultField(R& r, F&& field) {
+  field("cache_prefix_stages", r.cachePrefixStages);
+  field("eco_ripped", r.ecoRipped);
+  field("eco_reused", r.ecoReused);
+  field("coalesced", r.coalesced);
+  field("artifact_hash", r.artifactHash);
+  field("artifact_source", r.artifactSource);
+  field("wall_ms", r.wallMs);
+  field("final_checkpoint", r.finalCheckpoint);
 }
 
 bool validFlowName(const std::string& f) {
@@ -157,14 +198,7 @@ std::string JobSpec::validate() const {
 
 void JobSpec::writeJson(obs::JsonWriter& w) const {
   w.beginObject();
-  forEachSpecField(*this, [&w](const char* key, const auto& v) {
-    w.key(key);
-    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, JobKind>) {
-      w.value(jobKindName(v));
-    } else {
-      w.value(v);
-    }
-  });
+  forEachSpecField(*this, [&w](const char* key, const auto& v) { writeField(w, key, v); });
   w.endObject();
 }
 
@@ -192,14 +226,7 @@ void JobResult::writeJson(obs::JsonWriter& w) const {
   w.beginObject();
   w.key("metrics");
   writeDesignMetricsJson(w, metrics);
-  w.kv("cache_prefix_stages", cachePrefixStages);
-  w.kv("eco_ripped", ecoRipped);
-  w.kv("eco_reused", ecoReused);
-  w.kv("coalesced", coalesced);
-  w.kv("artifact_hash", std::string_view(hashToHex(artifactHash)));
-  w.kv("artifact_source", std::string_view(artifactSource));
-  w.kv("wall_ms", wallMs);
-  w.kv("final_checkpoint", std::string_view(finalCheckpoint));
+  forEachResultField(*this, [&w](const char* key, const auto& v) { writeField(w, key, v); });
   w.endObject();
 }
 
@@ -209,26 +236,16 @@ bool JobResult::fromJson(const obs::JsonValue& v, JobResult* out, std::string* e
     return false;
   }
   JobResult r;
+  bool ok = true;
   if (const obs::JsonValue* m = v.find("metrics"); m != nullptr && m->isObject()) {
-    bool ok = true;
     forEachDesignMetric(r.metrics, [&](const char* key, auto& field) {
       ok = ok && readField(*m, key, &field, err);
     });
-    if (!ok) return false;
   }
-  if (!readField(v, "cache_prefix_stages", &r.cachePrefixStages, err)) return false;
-  if (!readField(v, "eco_ripped", &r.ecoRipped, err)) return false;
-  if (!readField(v, "eco_reused", &r.ecoReused, err)) return false;
-  if (!readField(v, "coalesced", &r.coalesced, err)) return false;
-  std::string hex;
-  if (!readField(v, "artifact_hash", &hex, err)) return false;
-  if (!hex.empty() && !hexToHash(hex, &r.artifactHash)) {
-    if (err != nullptr) *err = "artifact_hash is not a 64-bit hex string";
-    return false;
-  }
-  if (!readField(v, "artifact_source", &r.artifactSource, err)) return false;
-  if (!readField(v, "wall_ms", &r.wallMs, err)) return false;
-  if (!readField(v, "final_checkpoint", &r.finalCheckpoint, err)) return false;
+  forEachResultField(r, [&](const char* key, auto& field) {
+    ok = ok && readField(v, key, &field, err);
+  });
+  if (!ok) return false;
   *out = r;
   return true;
 }

@@ -210,10 +210,6 @@ void Sta::build() {
   coneEpoch_ = 0;
 }
 
-void Sta::rebuildAll() {
-  build();
-}
-
 void Sta::markDirty(int pin) const {
   pendingArr_.push_back(pin);
   pendingParam_.push_back(pin);
@@ -341,7 +337,7 @@ void Sta::applyResize(InstId inst) {
       // a full rebuild rather than corrupt the graph.
       M3D_LOG(warn) << "sta applyResize: arc count changed for " << in.name
                     << "; rebuilding timing graph";
-      rebuildAll();
+      build();
       return;
     }
     const NetId outNet = in.pinNets[static_cast<std::size_t>(p)];

@@ -212,7 +212,6 @@ class Sta {
   int pinId(const NetPin& p) const;
   NetPin pinOf(int id) const;
   void build();
-  void rebuildAll();
 
   void markDirty(int pin) const;
   void ensureLevels() const;

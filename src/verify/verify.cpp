@@ -32,16 +32,6 @@ const char* violationKindName(ViolationKind k) {
   return "?";
 }
 
-const char* checkFamilyName(CheckFamily f) {
-  switch (f) {
-    case CheckFamily::kDrc: return "drc";
-    case CheckFamily::kConnectivity: return "connectivity";
-    case CheckFamily::kPlacement: return "placement";
-    case CheckFamily::kF2f: return "f2f";
-  }
-  return "?";
-}
-
 CheckFamily familyOf(ViolationKind k) {
   switch (k) {
     case ViolationKind::kShort:

@@ -89,7 +89,6 @@ enum class ViolationKind {
 };
 
 const char* violationKindName(ViolationKind k);
-const char* checkFamilyName(CheckFamily f);
 CheckFamily familyOf(ViolationKind k);
 Severity severityOf(ViolationKind k);
 

@@ -607,12 +607,14 @@ TEST(DbCheckpoint, TruncatedSectionsFailClosed) {
 
 // Ids that one section holds into the netlist are range-checked. The
 // section hashes are unkeyed, so a checkpoint with matching hashes can still
-// hold a CTS buffer, route table or latency vector that does not fit the
-// netlist; it must fail closed instead of crashing the stage after it.
+// hold a CTS buffer, route table, parasitics table or latency vector that
+// does not fit the netlist; it must fail closed instead of crashing the
+// stage after it.
 TEST(DbCheckpoint, CrossSectionIdsAreRangeChecked) {
   FlowOutput live = runFlowMacro3D(makeTinyTileConfig(), dbTinyOptions());
   ASSERT_FALSE(live.cts.buffers.empty());
   ASSERT_FALSE(live.routes.nets.empty());
+  ASSERT_FALSE(live.paras.empty());
   ASSERT_FALSE(live.clock.latency.empty());
   const std::string refPath = tempPath("m3d_db_ids_ref.m3ddb");
   const std::string path = tempPath("m3d_db_ids.m3ddb");
@@ -629,17 +631,26 @@ TEST(DbCheckpoint, CrossSectionIdsAreRangeChecked) {
       {"CTS outputNet out of range",
        [](FlowOutput& o) { o.cts.buffers[0].outputNet = o.tile->netlist.numNets(); }},
       {"one route net short", [](FlowOutput& o) { o.routes.nets.pop_back(); }},
+      {"one parasitics entry short", [](FlowOutput& o) { o.paras.pop_back(); }},
+      {"one parasitics entry one pin short",
+       [](FlowOutput& o) {
+         NetParasitics& p = o.paras[static_cast<std::size_t>(o.tile->groups.clockNet)];
+         p.sinkWireDelay.pop_back();
+         p.sinkWireLengthUm.pop_back();
+       }},
       {"one latency entry short", [](FlowOutput& o) { o.clock.latency.pop_back(); }},
   };
   for (const auto& [what, doctor] : doctored) {
     SCOPED_TRACE(what);
     const CtsResult cts = live.cts;
     const RoutingResult routes = live.routes;
+    const std::vector<NetParasitics> paras = live.paras;
     const ClockModel clock = live.clock;
     doctor(live);
     ASSERT_TRUE(saveStageCheckpoint(live, live.trace, 6, 1, path).ok());
     live.cts = cts;
     live.routes = routes;
+    live.paras = paras;
     live.clock = clock;
 
     FlowOutput loaded;
@@ -710,6 +721,7 @@ TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
   };
   using Groups = TileGroups;
   using Routes = RoutingResult;
+  using Paras = std::vector<NetParasitics>;
   const std::pair<const char*, bool> decoded[] = {
       {"empty cell name", cell([](CellType& c) { c.name.clear(); })},
       {"duplicate cell name", library([](Library& l) { l.cell(1).name = l.cell(0).name; })},
@@ -753,6 +765,9 @@ TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
       {"route layer", inDesign(o.routes, [](Routes& r) { r.nets[0].segs = {{false, -1, 0, 0}}; })},
       {"route node", inDesign(o.routes, [](Routes& r) { r.nets[0].segs = {{true, 0, -1, 0}}; })},
       {"route table length", inDesign(o.routes, [](Routes& r) { r.nets.pop_back(); })},
+      {"parasitics table length", inDesign(o.paras, [](Paras& p) { p.pop_back(); })},
+      {"parasitics pin count",
+       inDesign(o.paras, [](Paras& p) { p.front().sinkWireLengthUm.push_back(0.0); })},
       {"latency count", inDesign(o.clock, [](ClockModel& c) { c.latency.push_back(0.0); })},
       {"violation kind", inDesign(o.verify, [](VerifyReport& v) {
          v.violations.emplace_back();
@@ -767,6 +782,7 @@ TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
   EXPECT_TRUE(inDesign(o.tile->groups, [](Groups&) {}));
   EXPECT_TRUE(inDesign(o.cts, [](CtsResult&) {}));
   EXPECT_TRUE(inDesign(o.routes, [](Routes& r) { r.nets.clear(); }));
+  EXPECT_TRUE(inDesign(o.paras, [](Paras& p) { p.clear(); }));
   EXPECT_TRUE(inDesign(o.clock, [](ClockModel& c) { c.latency.clear(); }));
   EXPECT_TRUE(inDesign(o.verify, [](VerifyReport&) {}));
 }

@@ -1,18 +1,108 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lib/stdcell_factory.hpp"
 #include "netlist/logic_cloud.hpp"
 #include "place/placer.hpp"
-#include "report/congestion.hpp"
 #include "route/router.hpp"
 #include "tech/tech_node.hpp"
 
 namespace m3d {
 namespace {
 
-/// A globally placed logic cloud for the congestion and route-tree checks.
+/// The router tests' oracle. Validates routed geometry: every multi-pin
+/// net's segments must form a connected tree (|edges| == |nodes| - 1,
+/// single component) that touches every pin's grid node. Returns a
+/// diagnostic string (empty when healthy).
+std::string checkRoutedTrees(const Netlist& nl, const RouteGrid& grid,
+                             const RoutingResult& routes) {
+  std::ostringstream err;
+  int reported = 0;
+  for (NetId n = 0; n < nl.numNets(); ++n) {
+    const Net& net = nl.net(n);
+    if (net.pins.size() < 2) continue;
+    const NetRoute& r = routes.nets[static_cast<std::size_t>(n)];
+    if (!r.routed) {
+      if (reported++ < 10) err << net.name << ": unrouted; ";
+      continue;
+    }
+
+    // Gather nodes and adjacency.
+    std::map<int, int> idOf;
+    std::vector<std::vector<int>> adj;
+    auto nodeOf = [&](int gridNode) {
+      auto it = idOf.find(gridNode);
+      if (it != idOf.end()) return it->second;
+      const int id = static_cast<int>(adj.size());
+      idOf.emplace(gridNode, id);
+      adj.push_back({});
+      return id;
+    };
+    std::set<std::pair<int, int>> seen;
+    bool dup = false;
+    for (const RouteSeg& s : r.segs) {
+      const int a = nodeOf(s.fromNode);
+      const int b = nodeOf(s.toNode);
+      const auto key = std::minmax(a, b);
+      if (!seen.insert({key.first, key.second}).second) dup = true;
+      adj[static_cast<std::size_t>(a)].push_back(b);
+      adj[static_cast<std::size_t>(b)].push_back(a);
+    }
+    if (dup && reported++ < 10) err << net.name << ": duplicate segment; ";
+
+    if (r.segs.empty()) {
+      // All pins must share one grid node.
+      const int first = grid.pinNode(nl, net.pins[0]);
+      for (const NetPin& p : net.pins) {
+        if (grid.pinNode(nl, p) != first) {
+          if (reported++ < 10) err << net.name << ": empty route but pins in distinct gcells; ";
+          break;
+        }
+      }
+      continue;
+    }
+
+    // Tree check: connected and |E| == |V| - 1.
+    if (adj.size() != r.segs.size() + 1) {
+      if (reported++ < 10) err << net.name << ": cycle (|E| != |V|-1); ";
+    }
+    std::vector<char> vis(adj.size(), 0);
+    std::vector<int> stack{0};
+    vis[0] = 1;
+    std::size_t count = 1;
+    while (!stack.empty()) {
+      const int u = stack.back();
+      stack.pop_back();
+      for (int v : adj[static_cast<std::size_t>(u)]) {
+        if (!vis[static_cast<std::size_t>(v)]) {
+          vis[static_cast<std::size_t>(v)] = 1;
+          ++count;
+          stack.push_back(v);
+        }
+      }
+    }
+    if (count != adj.size()) {
+      if (reported++ < 10) err << net.name << ": disconnected route; ";
+    }
+    // Every pin node covered.
+    for (const NetPin& p : net.pins) {
+      if (idOf.find(grid.pinNode(nl, p)) == idOf.end()) {
+        if (reported++ < 10) err << net.name << ": pin off the route tree; ";
+        break;
+      }
+    }
+  }
+  return err.str();
+}
+
+/// A globally placed logic cloud for the route-tree checks.
 class DetailedFixture : public ::testing::Test {
  protected:
   DetailedFixture() : tech_(makeTech28(6)), lib_(makeStdCellLib(tech_)), nl_(&lib_) {
@@ -45,26 +135,6 @@ TEST_F(DetailedFixture, RoutedTreesValidate) {
   const RoutingResult routes = routeDesign(nl_, grid);
   EXPECT_EQ(routes.unroutedNets, 0);
   EXPECT_EQ(checkRoutedTrees(nl_, grid, routes), "");
-}
-
-TEST_F(DetailedFixture, LayerUtilizationAndMap) {
-  RouteGrid grid(nl_, fp_.die, tech_.beol);
-  const RoutingResult routes = routeDesign(nl_, grid);
-  const auto util = layerUtilization(grid, routes);
-  ASSERT_EQ(util.size(), 6u);
-  double used = 0.0;
-  for (const auto& u : util) {
-    EXPECT_GE(u.capacityUm, u.usedUm * 0.0);  // capacities computed
-    EXPECT_GE(u.utilization(), 0.0);
-    EXPECT_LE(u.utilization(), 1.5);
-    used += u.usedUm;
-  }
-  EXPECT_NEAR(used, routes.totalWirelengthUm, 1e-6);
-
-  const std::string map = congestionMap(grid, routes, 32);
-  EXPECT_NE(map.find("congestion map"), std::string::npos);
-  // One heat row per (downsampled) gcell row.
-  EXPECT_GT(std::count(map.begin(), map.end(), '\n'), 3);
 }
 
 TEST(RouteChecker, DetectsBrokenTree) {
