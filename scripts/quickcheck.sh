@@ -24,8 +24,9 @@
 # address,undefined runs `ctest -LE slow`, the DbCheckpoint tests and so
 # every decoder's rejection paths included; thread runs the suites that
 # exercise the thread pool and the daemon's threads (every *Determinism
-# suite, PlacerGolden, Parallel, StaIncr, DbStageCache, ObsPoolTrace and
-# Serve*). Any sanitizer finding aborts its test, so a green run is clean.
+# suite, PlacerGolden, VerifyGolden, Parallel, StaIncr, DbStageCache,
+# ObsPoolTrace and Serve*). Any sanitizer finding aborts its test, so a
+# green run is clean.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,7 +42,7 @@ if [ "${1:-}" = "--sanitize" ]; then
     cmake --build "$BUILD_DIR" -j "$(nproc)" --target m3d_tests
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
       ctest --test-dir "$BUILD_DIR" --output-on-failure --parallel "$(nproc)" \
-      -R 'Determinism|PlacerGolden|^Parallel\.|StaIncr|DbStageCache|ObsPoolTrace|^Serve'
+      -R 'Determinism|PlacerGolden|VerifyGolden|^Parallel\.|StaIncr|DbStageCache|ObsPoolTrace|^Serve'
   else
     cmake --build "$BUILD_DIR" -j "$(nproc)"
     ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \

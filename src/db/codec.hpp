@@ -25,9 +25,10 @@
 /// netlist (IdBounds): the tile groups, each CTS buffer's cell and nets, the
 /// route table (one route per net, or none yet), the parasitics (one entry
 /// per net with one value per pin, or none) and the clock latencies (one
-/// per instance, or none). The section hashes are unkeyed, so this is what
-/// keeps a checkpoint with matching hashes from handing the next stage an
-/// out-of-range id.
+/// per instance, or none). Each route segment's layer and nodes are checked
+/// against the checkpoint's routing BEOL and die. The section hashes are
+/// unkeyed, so this is what keeps a checkpoint with matching hashes from
+/// handing the next stage an out-of-range id.
 
 #include <concepts>
 #include <cstdint>
@@ -53,14 +54,18 @@
 namespace m3d::db {
 
 /// Bounds of the ids a payload holds into the design: the sizes of the
-/// checkpoint's netlist, and the netlist itself for the rules that index it.
-/// All zero (and no netlist) when writing (the writer checks nothing) and
-/// when decoding without a netlist.
+/// checkpoint's netlist, and the netlist itself for the rules that index it;
+/// and the routing grid a route segment indexes, as RouteGrid builds it over
+/// the checkpoint's routing BEOL and die. All zero (and no netlist) when
+/// writing (the writer checks nothing) and when decoding without them.
 struct IdBounds {
   std::int32_t instances = 0;
   std::int32_t nets = 0;
   std::int32_t ports = 0;
   const Netlist* design = nullptr;
+  std::int32_t metals = 0;
+  std::int32_t cuts = 0;
+  std::int64_t gridNodes = 0;  ///< nx * ny gcells times the metal count.
 };
 
 // The payload types: Library, Netlist, TileGroups, TileConfig, Beol,
@@ -81,14 +86,26 @@ template <typename T>
 
 /// Reads one payload of \p v from \p r. Returns false, with \p r failed and
 /// \p v unspecified but safe, on any violation. \p design is the
-/// checkpoint's netlist, which ids in the other sections point into. A
+/// checkpoint's netlist, which ids in the other sections point into;
+/// \p routingBeol and \p die are its routing stack and die, whose grid the
+/// route segments index (both sections decode before the routes). A
 /// Netlist decodes against its own library and replaces its tables in
 /// place, so the object (and every Netlist& held across a restore) stays.
 template <typename T>
-bool decode(BinReader& r, T& v, const Netlist* design = nullptr) {
+bool decode(BinReader& r, T& v, const Netlist* design = nullptr,
+            const Beol* routingBeol = nullptr, const Rect* die = nullptr) {
   IdBounds ids;
   if (design != nullptr) {
-    ids = {design->numInstances(), design->numNets(), design->numPorts(), design};
+    ids.instances = design->numInstances();
+    ids.nets = design->numNets();
+    ids.ports = design->numPorts();
+    ids.design = design;
+  }
+  if (routingBeol != nullptr && die != nullptr && !die->isEmpty()) {
+    const GridMapping gcells(*die, kGcellSize);
+    ids.metals = routingBeol->numMetals();
+    ids.cuts = routingBeol->numCuts();
+    ids.gridNodes = std::int64_t{gcells.nx()} * gcells.ny() * ids.metals;
   }
   code(r, v, ids);
   return r.ok();
@@ -350,7 +367,11 @@ void code(Io& io, R& routes, const IdBounds& ids) {
     io(nr.routed);
     codeVector(io, nr.segs, 13, [&](auto& s) {
       io(s.isVia, s.layer, s.fromNode, s.toNode);
-      io.check(s.layer >= 0 && s.fromNode >= 0 && s.toNode >= 0);
+      // On the routing grid: the router, extraction and signoff index the
+      // stack by the layer and their grids by the nodes. Whether a segment
+      // is a legal hop stays the DRC's to report.
+      io.check(isId(s.layer, s.isVia ? ids.cuts : ids.metals) &&
+               isId(s.fromNode, ids.gridNodes) && isId(s.toNode, ids.gridNodes));
     });
   });
   // Indexed by NetId: one route per net, or none before the route stage.

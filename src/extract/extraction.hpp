@@ -38,9 +38,16 @@ struct NetParasitics {
 NetParasitics extractRouted(const Netlist& nl, NetId netId, const RouteGrid& grid,
                             const NetRoute& route);
 
-/// Extracts every net; result indexed by NetId.
+/// Extracts every net; result indexed by NetId. One working memory serves
+/// every net, so nothing is allocated per net beyond its result's vectors.
 std::vector<NetParasitics> extractDesign(const Netlist& nl, const RouteGrid& grid,
                                          const RoutingResult& routes);
+
+/// Re-extracts the nets \p nets into \p paras (indexed by NetId), sharing
+/// one working memory like extractDesign. Each entry equals
+/// extractRouted(nl, n, grid, routes.nets[n]).
+void extractNets(const Netlist& nl, const RouteGrid& grid, const RoutingResult& routes,
+                 const std::vector<NetId>& nets, std::vector<NetParasitics>& paras);
 
 struct EstimationOptions {
   double rPerUm = 2.0;       ///< representative wire resistance [ohm/um].

@@ -74,14 +74,18 @@ DbStatus decodeSection(const DesignDb& dbFile, const char* name, Decode&& decode
 }
 
 /// Decodes every state section into \p into (whose tile's netlist is bound
-/// to the checkpoint's library) and the pipeline trace into \p trace.
+/// to the checkpoint's library) and the pipeline trace into \p trace. Each
+/// section's ids are checked against the netlist, routing BEOL and die
+/// decoded before it.
 DbStatus decodeDesign(const DesignDb& dbFile, FlowOutput& into, std::string& trace) {
   const Netlist& nl = into.tile->netlist;
   DbStatus st = DbStatus::success();
   forEachSection(
       [&](const char* name, bool, auto& v) {
         if (!st.ok()) return;
-        st = decodeSection(dbFile, name, [&](BinReader& r) { return db::decode(r, v, &nl); });
+        st = decodeSection(dbFile, name, [&](BinReader& r) {
+          return db::decode(r, v, &nl, &into.routingBeol, &into.fp.die);
+        });
       },
       into);
   if (!st.ok()) return st;

@@ -26,10 +26,7 @@ void RoutedParasitics::refresh(const Netlist& nl, const std::vector<NetId>& nets
                                std::vector<NetParasitics>& paras) {
   assert(static_cast<int>(paras.size()) == nl.numNets() &&
          "routed provider cannot handle netlist growth");
-  for (NetId n : nets) {
-    paras[static_cast<std::size_t>(n)] =
-        extractRouted(nl, n, grid_, routes_.nets[static_cast<std::size_t>(n)]);
-  }
+  extractNets(nl, grid_, routes_, nets, paras);
 }
 
 namespace {
@@ -56,6 +53,7 @@ std::vector<NetId> inputNetsOf(const Netlist& nl, InstId inst) {
 int presizeForLoad(Netlist& nl, std::vector<NetParasitics>& paras,
                    ParasiticsProvider& provider, double maxStageDelay,
                    const std::function<bool(InstId, CellTypeId)>& resizeGuard) {
+  obs::ScopedPhase phase("opt.presize");
   const Library& lib = nl.library();
   int resized = 0;
   std::vector<NetId> dirty;

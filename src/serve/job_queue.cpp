@@ -131,7 +131,9 @@ void JobQueue::retireLocked(std::uint64_t jobId) {
 std::shared_ptr<const Job> JobQueue::find(std::uint64_t jobId) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(jobId);
-  return it == jobs_.end() ? nullptr : it->second;
+  // A copy: executors update the live job under the lock while the caller
+  // reads its snapshot without it.
+  return it == jobs_.end() ? nullptr : std::make_shared<const Job>(*it->second);
 }
 
 std::shared_ptr<const Job> JobQueue::waitJob(std::uint64_t jobId, int timeoutMs) const {
@@ -145,7 +147,7 @@ std::shared_ptr<const Job> JobQueue::waitJob(std::uint64_t jobId, int timeoutMs)
   } else {
     cv_.wait(lock, terminal);
   }
-  return job;
+  return std::make_shared<const Job>(*job);  // a snapshot, as in find()
 }
 
 void JobQueue::close() {

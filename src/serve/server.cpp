@@ -18,10 +18,24 @@
 #include <sys/un.h>
 #include <unistd.h>
 #endif
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace m3d::serve {
 
 namespace {
+
+/// Returns the heap memory that finished jobs freed to the system. glibc
+/// keeps freed blocks in per-thread arenas and raises its trim threshold to
+/// twice the largest mmapped block freed (a checkpoint buffer, several MB),
+/// so without this a small-tile ECO stream peaked at 65 MB resident while
+/// 12-20 MB of it was in use.
+void releaseFreedHeap() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 #ifdef __unix__
 
@@ -462,6 +476,7 @@ void Server::executorLoop() {
     std::string err;
     const bool ok = runJob(*job, runner_, &result, &err);
     queue_.complete(job->id, ok, result, err);
+    releaseFreedHeap();
     if (ok) {
       obs::counter("serve.jobs_done").add();
       if (job->coalesced) {

@@ -25,6 +25,7 @@ Sta::Sta(const Netlist& nl, const std::vector<NetParasitics>& paras, const Clock
     : nl_(nl), paras_(paras), clock_(clock), corner_(corner), numThreads_(numThreads) {
   assert(static_cast<int>(paras.size()) == nl.numNets());
   assert(corner_.delayDerate > 0.0);
+  obs::ScopedPhase phase("sta.build");
   build();
 }
 

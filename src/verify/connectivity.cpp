@@ -5,9 +5,11 @@
 /// dangling route geometry, independent of the router's bookkeeping.
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/parallel.hpp"
+#include "route/net_node_index.hpp"
 #include "verify/checkers.hpp"
 
 namespace m3d::verify_detail {
@@ -16,16 +18,18 @@ namespace {
 
 constexpr std::int64_t kNetGrain = 64;
 
-/// Union-find over a small, sorted node universe.
-struct NetGraph {
-  std::vector<int> nodes;   // sorted unique node ids
-  std::vector<int> parent;  // per index into nodes
+/// Working memory of checkNet, reused from net to net within one chunk of
+/// nets (never shared between chunks, which may run on different threads).
+struct NetScratch {
+  NetNodeIndex index;           ///< route node -> local number.
+  std::vector<int> parent;      ///< union-find over local numbers.
+  std::vector<int> cand;        ///< every pin's candidate nodes, pin after pin.
+  std::vector<int> candStart;   ///< per pin: its first candidate in cand, then the end.
+  std::vector<char> hasPin;     ///< per local root: a pin touches the component.
+  std::vector<int> roots;       ///< components the current pin touches.
+  std::vector<int> dangling;    ///< smallest node of each pin-free component.
 
-  int indexOf(int node) const {
-    const auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
-    if (it == nodes.end() || *it != node) return -1;
-    return static_cast<int>(it - nodes.begin());
-  }
+  /// Root of local node \p i: the component's smallest grid node.
   int find(int i) {
     while (parent[static_cast<std::size_t>(i)] != i) {
       parent[static_cast<std::size_t>(i)] =
@@ -37,7 +41,12 @@ struct NetGraph {
   void unite(int a, int b) {
     a = find(a);
     b = find(b);
-    if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+    if (a == b) return;
+    if (index.node(a) < index.node(b)) {
+      parent[static_cast<std::size_t>(b)] = a;
+    } else {
+      parent[static_cast<std::size_t>(a)] = b;
+    }
   }
 };
 
@@ -46,7 +55,7 @@ Rect pinRect(const Netlist& nl, const NetPin& p) {
   return Rect{at.x, at.y, at.x, at.y};
 }
 
-/// Grid nodes a pin may legally attach to.
+/// Appends the grid nodes a pin may legally attach to, its own node first.
 ///
 /// Standard-cell pins project at cell-footprint granularity: the detail
 /// router can reach a pin from any gcell the instance overlaps, and
@@ -57,7 +66,8 @@ Rect pinRect(const Netlist& nl, const NetPin& p) {
 /// closed-interval boundary tolerance applies: a pin sitting exactly on a
 /// gcell boundary belongs to every adjacent gcell, and quantization must not
 /// turn such pins into opens.
-std::vector<int> pinCandidateNodes(const Netlist& nl, const RouteGrid& grid, const NetPin& p) {
+void appendPinCandidates(const Netlist& nl, const RouteGrid& grid, const NetPin& p,
+                         std::vector<int>& out) {
   const GridMapping& map = grid.mapping();
   const int primary = grid.pinNode(nl, p);
   const int layer = grid.nodeLayer(primary);
@@ -83,14 +93,13 @@ std::vector<int> pinCandidateNodes(const Netlist& nl, const RouteGrid& grid, con
   if (ixLo > 0 && map.cellRect(ixLo, iyLo).xlo == span.xlo) --ixLo;
   if (iyLo > 0 && map.cellRect(ixLo, iyLo).ylo == span.ylo) --iyLo;
 
-  std::vector<int> out{primary};
+  out.push_back(primary);
   for (int gy = iyLo; gy <= iyHi; ++gy) {
     for (int gx = ixLo; gx <= ixHi; ++gx) {
       if (gx == ix && gy == iy) continue;  // primary already present.
       out.push_back(grid.nodeId(gx, gy, layer));
     }
   }
-  return out;
 }
 
 std::string pinDesc(const Netlist& nl, const NetPin& p) {
@@ -98,7 +107,7 @@ std::string pinDesc(const Netlist& nl, const NetPin& p) {
   return nl.instance(p.inst).name + "/" + nl.cellOf(p.inst).pins[static_cast<std::size_t>(p.libPin)].name;
 }
 
-void checkNet(const Ctx& ctx, NetId n, std::vector<Violation>& out) {
+void checkNet(const Ctx& ctx, NetId n, NetScratch& g, std::vector<Violation>& out) {
   const Netlist& nl = ctx.nl;
   const RouteGrid& grid = ctx.grid;
   const Net& net = nl.net(n);
@@ -118,98 +127,92 @@ void checkNet(const Ctx& ctx, NetId n, std::vector<Violation>& out) {
     return;
   }
 
-  std::vector<std::vector<int>> pinNodes;
-  pinNodes.reserve(net.pins.size());
-  for (const NetPin& p : net.pins) pinNodes.push_back(pinCandidateNodes(nl, grid, p));
-  const auto sharesNode = [](const std::vector<int>& a, const std::vector<int>& b) {
-    for (int x : a) {
-      if (std::find(b.begin(), b.end(), x) != b.end()) return true;
-    }
-    return false;
+  g.cand.clear();
+  g.candStart.clear();
+  for (const NetPin& p : net.pins) {
+    g.candStart.push_back(static_cast<int>(g.cand.size()));
+    appendPinCandidates(nl, grid, p, g.cand);
+  }
+  g.candStart.push_back(static_cast<int>(g.cand.size()));
+  // Candidate nodes of pin k.
+  const auto candOf = [&g](std::size_t k) {
+    return std::span<const int>(g.cand.data() + g.candStart[k],
+                                g.cand.data() + g.candStart[k + 1]);
+  };
+  const auto reportOpen = [&](std::size_t k, const char* what) {
+    Violation v;
+    v.kind = ViolationKind::kOpen;
+    v.net = n;
+    if (net.pins[k].kind == NetPin::Kind::kInstPin) v.cell = net.pins[k].inst;
+    v.layer = grid.nodeLayer(candOf(k).front());
+    v.rect = pinRect(nl, net.pins[k]);
+    v.detail = "net " + net.name + ": pin " + pinDesc(nl, net.pins[k]) + what;
+    out.push_back(std::move(v));
   };
 
   if (route.segs.empty()) {
     // Legal only when every pin projects to one grid node.
+    const std::span<const int> first = candOf(0);
     for (std::size_t k = 0; k < net.pins.size(); ++k) {
-      if (sharesNode(pinNodes[k], pinNodes[0])) continue;
-      Violation v;
-      v.kind = ViolationKind::kOpen;
-      v.net = n;
-      if (net.pins[k].kind == NetPin::Kind::kInstPin) v.cell = net.pins[k].inst;
-      v.layer = grid.nodeLayer(pinNodes[k].front());
-      v.rect = pinRect(nl, net.pins[k]);
-      v.detail = "net " + net.name + ": pin " + pinDesc(nl, net.pins[k]) +
-                 " is not co-located with the (segment-free) net";
-      out.push_back(std::move(v));
+      const std::span<const int> c = candOf(k);
+      if (std::find_first_of(c.begin(), c.end(), first.begin(), first.end()) != c.end()) continue;
+      reportOpen(k, " is not co-located with the (segment-free) net");
     }
     return;
   }
 
-  NetGraph g;
-  g.nodes.reserve(route.segs.size() * 2);
+  // Union-find over the route's nodes, each numbered as it first appears.
+  g.index.reset(2 * route.segs.size());
+  g.parent.clear();
   for (const RouteSeg& s : route.segs) {
-    g.nodes.push_back(s.fromNode);
-    g.nodes.push_back(s.toNode);
-  }
-  std::sort(g.nodes.begin(), g.nodes.end());
-  g.nodes.erase(std::unique(g.nodes.begin(), g.nodes.end()), g.nodes.end());
-  g.parent.resize(g.nodes.size());
-  for (std::size_t i = 0; i < g.parent.size(); ++i) g.parent[i] = static_cast<int>(i);
-  for (const RouteSeg& s : route.segs) {
-    g.unite(g.indexOf(s.fromNode), g.indexOf(s.toNode));
+    const int a = g.index.insert(s.fromNode);
+    const int b = g.index.insert(s.toNode);
+    while (static_cast<int>(g.parent.size()) < g.index.size()) {
+      g.parent.push_back(static_cast<int>(g.parent.size()));
+    }
+    g.unite(a, b);
   }
 
   // Every pin must land on the route graph, in one shared component. A pin
   // counts as touched when any of its candidate nodes is on the graph, and
   // as connected when any candidate's component matches the anchor.
   int anchorRoot = -1;
-  std::vector<bool> rootHasPin(g.nodes.size(), false);
+  g.hasPin.assign(g.parent.size(), 0);
   for (std::size_t k = 0; k < net.pins.size(); ++k) {
-    std::vector<int> roots;
-    for (int node : pinNodes[k]) {
-      const int idx = g.indexOf(node);
-      if (idx >= 0) roots.push_back(g.find(idx));
+    g.roots.clear();
+    for (const int node : candOf(k)) {
+      const int idx = g.index.find(node);
+      if (idx >= 0) g.roots.push_back(g.find(idx));
     }
-    if (roots.empty()) {
-      Violation v;
-      v.kind = ViolationKind::kOpen;
-      v.net = n;
-      if (net.pins[k].kind == NetPin::Kind::kInstPin) v.cell = net.pins[k].inst;
-      v.layer = grid.nodeLayer(pinNodes[k].front());
-      v.rect = pinRect(nl, net.pins[k]);
-      v.detail = "net " + net.name + ": pin " + pinDesc(nl, net.pins[k]) +
-                 " is not touched by any route segment (open)";
-      out.push_back(std::move(v));
+    if (g.roots.empty()) {
+      reportOpen(k, " is not touched by any route segment (open)");
       continue;
     }
-    for (int root : roots) rootHasPin[static_cast<std::size_t>(root)] = true;
+    for (const int root : g.roots) g.hasPin[static_cast<std::size_t>(root)] = 1;
     if (anchorRoot < 0) {
-      anchorRoot = roots.front();
-    } else if (std::find(roots.begin(), roots.end(), anchorRoot) == roots.end()) {
-      Violation v;
-      v.kind = ViolationKind::kOpen;
-      v.net = n;
-      if (net.pins[k].kind == NetPin::Kind::kInstPin) v.cell = net.pins[k].inst;
-      v.layer = grid.nodeLayer(pinNodes[k].front());
-      v.rect = pinRect(nl, net.pins[k]);
-      v.detail = "net " + net.name + ": pin " + pinDesc(nl, net.pins[k]) +
-                 " sits on a route island disconnected from the net tree (open)";
-      out.push_back(std::move(v));
+      anchorRoot = g.roots.front();
+    } else if (std::find(g.roots.begin(), g.roots.end(), anchorRoot) == g.roots.end()) {
+      reportOpen(k, " sits on a route island disconnected from the net tree (open)");
     }
   }
 
-  // Components that touch no pin are stray geometry.
-  for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    const int root = g.find(static_cast<int>(i));
-    if (root != static_cast<int>(i)) continue;  // one report per component
-    if (rootHasPin[static_cast<std::size_t>(root)]) continue;
+  // Components that touch no pin are stray geometry, reported once each by
+  // their smallest node, in ascending node order.
+  g.dangling.clear();
+  for (int i = 0; i < g.index.size(); ++i) {
+    if (g.find(i) == i && !g.hasPin[static_cast<std::size_t>(i)]) {
+      g.dangling.push_back(g.index.node(i));
+    }
+  }
+  std::sort(g.dangling.begin(), g.dangling.end());
+  for (const int node : g.dangling) {
     Violation v;
     v.kind = ViolationKind::kDanglingSegment;
     v.net = n;
-    v.layer = grid.nodeLayer(g.nodes[i]);
-    v.rect = grid.mapping().cellRect(grid.nodeX(g.nodes[i]), grid.nodeY(g.nodes[i]));
-    v.detail = "net " + net.name + ": route component at node " +
-               std::to_string(g.nodes[i]) + " touches no pin of the net";
+    v.layer = grid.nodeLayer(node);
+    v.rect = grid.mapping().cellRect(grid.nodeX(node), grid.nodeY(node));
+    v.detail = "net " + net.name + ": route component at node " + std::to_string(node) +
+               " touches no pin of the net";
     out.push_back(std::move(v));
   }
 }
@@ -222,8 +225,9 @@ void checkConnectivity(const Ctx& ctx, VerifyReport& rep) {
       std::int64_t{0}, numNets, kNetGrain, std::vector<Violation>{},
       [&](std::int64_t lo, std::int64_t hi) {
         std::vector<Violation> part;
+        NetScratch scratch;
         for (std::int64_t n = lo; n < hi; ++n) {
-          checkNet(ctx, static_cast<NetId>(n), part);
+          checkNet(ctx, static_cast<NetId>(n), scratch, part);
         }
         return part;
       },

@@ -4,6 +4,7 @@
 /// off-grid/off-direction segment checks, and fully-obstructed-gcell usage.
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -127,9 +128,12 @@ void checkDrc(const Ctx& ctx, VerifyReport& rep) {
   for (Violation& v : segViolations) rep.violations.push_back(std::move(v));
 
   // --- Independent capacity recomputation (never trusts the router). -------
-  std::vector<std::uint32_t> wireUse(static_cast<std::size_t>(grid.numWireEdges()), 0);
+  // One slot past the wire edges: the short check below turns the counts
+  // into bucket offsets in place.
+  const auto numWireEdges = static_cast<std::size_t>(grid.numWireEdges());
+  std::vector<std::uint32_t> wireUse(numWireEdges + 1, 0);
   std::vector<std::uint32_t> viaUse(static_cast<std::size_t>(grid.numViaEdges()), 0);
-  std::vector<std::pair<int, NetId>> wireEdgeNets;  // for the short check.
+  std::vector<std::pair<int, NetId>> wireEdgeNets;  // in net order, for the short check.
   for (NetId n = 0; n < static_cast<NetId>(routes.nets.size()); ++n) {
     for (const RouteSeg& s : routes.nets[static_cast<std::size_t>(n)].segs) {
       int edge = -1;
@@ -185,76 +189,86 @@ void checkDrc(const Ctx& ctx, VerifyReport& rep) {
   // the pigeonhole argument become escape-proof and the short error-grade.
   // Wrap-around track assignment inside the gcell realizes the overfill as
   // overlapping wire rects; the RectIndex query is the geometric witness.
-  std::sort(wireEdgeNets.begin(), wireEdgeNets.end());
-  wireEdgeNets.erase(std::unique(wireEdgeNets.begin(), wireEdgeNets.end()), wireEdgeNets.end());
-  // (edge, distinct-net count), sorted by edge -- random access for windows.
-  std::vector<std::pair<int, int>> distinctPerEdge;
-  for (std::size_t i = 0; i < wireEdgeNets.size();) {
-    std::size_t j = i;
-    while (j < wireEdgeNets.size() && wireEdgeNets[j].first == wireEdgeNets[i].first) ++j;
-    distinctPerEdge.push_back({wireEdgeNets[i].first, static_cast<int>(j - i)});
-    i = j;
+  //
+  // The (edge, net) pairs go into one bucket per edge, sized by wireUse and
+  // filled in pair order (a stable counting sort): each edge lists its nets
+  // ascending, a net's repeats adjacent. Dropping the repeats leaves each
+  // edge's distinct nets in ascending order. The capacity check was the last
+  // reader of the counts, so they become the bucket offsets in place: edge
+  // e's distinct nets are edgeNets[bucket[e], bucket[e + 1]).
+  std::vector<std::uint32_t>& bucket = wireUse;
+  std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());  // each bucket's end
+  std::vector<NetId> edgeNets(wireEdgeNets.size());
+  for (auto it = wireEdgeNets.rbegin(); it != wireEdgeNets.rend(); ++it) {
+    // Back to front from each bucket's end: the pair order survives, and
+    // each offset ends at its bucket's start.
+    edgeNets[--bucket[static_cast<std::size_t>(it->first)]] = it->second;
   }
-  const auto distinctAt = [&](int x, int y, int layer) {
-    const int e = (layer * grid.ny() + y) * grid.nx() + x;  // wire edge id.
-    const auto it = std::lower_bound(distinctPerEdge.begin(), distinctPerEdge.end(),
-                                     std::pair<int, int>{e, 0});
-    return (it != distinctPerEdge.end() && it->first == e) ? it->second : 0;
+  std::uint32_t kept = 0;  // compact the buckets down to their distinct nets
+  for (std::size_t e = 0; e < numWireEdges; ++e) {
+    const std::uint32_t first = bucket[e];
+    const std::uint32_t last = bucket[e + 1];
+    bucket[e] = kept;
+    for (std::uint32_t k = first; k < last; ++k) {
+      const NetId net = edgeNets[k];
+      if (k == first || net != edgeNets[kept - 1]) edgeNets[kept++] = net;
+    }
+  }
+  bucket[numWireEdges] = kept;
+  const auto distinctOn = [&bucket](std::size_t e) {
+    return static_cast<int>(bucket[e + 1] - bucket[e]);
   };
-  for (std::size_t i = 0; i < wireEdgeNets.size();) {
-    std::size_t j = i;
-    while (j < wireEdgeNets.size() && wireEdgeNets[j].first == wireEdgeNets[i].first) ++j;
-    const int e = wireEdgeNets[i].first;
-    const int distinct = static_cast<int>(j - i);
-    const EdgeXY at = splitEdge(grid, e);
-    const int tracks = physicalTracks(grid, at.layer);
-    bool escapeProof = distinct > tracks;
-    if (escapeProof) {
-      int windowDistinct = distinct;
-      int windowTracks = tracks;
-      const bool horizontal = grid.layerHorizontal(at.layer);
-      for (int d = -1; d <= 1; d += 2) {
-        const int nxt = horizontal ? at.x : at.x + d;
-        const int nyt = horizontal ? at.y + d : at.y;
-        if (nxt < 0 || nxt >= grid.nx() || nyt < 0 || nyt >= grid.ny()) continue;
-        windowTracks += tracks;
-        windowDistinct += distinctAt(nxt, nyt, at.layer);
-      }
-      escapeProof = windowDistinct > windowTracks;
-    }
-    if (escapeProof) {
-      const Rect cell = gcellRect(grid, at.x, at.y);
-      const MetalLayer& metal = grid.beol().metal(at.layer);
-      const Dbu pitch = std::max<Dbu>(1, metal.pitch);
-      const Dbu width = std::max<Dbu>(1, metal.width);
-      const bool horizontal = grid.layerHorizontal(at.layer);
-      RectIndex tracksUsed(cell, pitch);
-      for (std::size_t k = i; k < j; ++k) {
-        const int track = static_cast<int>(k - i) % tracks;
-        const Rect r = horizontal
-                           ? Rect{cell.xlo, cell.ylo + track * pitch, cell.xhi,
-                                  cell.ylo + track * pitch + width}
-                           : Rect{cell.xlo + track * pitch, cell.ylo,
-                                  cell.xlo + track * pitch + width, cell.yhi};
-        const std::vector<std::int32_t> hit = tracksUsed.queryOverlapping(r);
-        if (!hit.empty()) {
-          Violation v;
-          v.kind = ViolationKind::kShort;
-          v.net = wireEdgeNets[k].second;
-          v.otherNet = static_cast<NetId>(hit.front());
-          v.layer = at.layer;
-          v.rect = r;
-          v.detail = "nets " + nl.net(v.net).name + " and " + nl.net(v.otherNet).name +
-                     " share a track on " + metal.name + " in gcell (" +
-                     std::to_string(at.x) + "," + std::to_string(at.y) + "): " +
-                     std::to_string(distinct) + " nets on " + std::to_string(tracks) +
-                     " physical tracks, detour window exhausted";
-          rep.violations.push_back(std::move(v));
+  // Edges in id order: layer, then row, then column.
+  for (int layer = 0; layer < grid.numLayers(); ++layer) {
+    const int tracks = physicalTracks(grid, layer);
+    const bool horizontal = grid.layerHorizontal(layer);
+    const MetalLayer& metal = grid.beol().metal(layer);
+    for (int y = 0; y < grid.ny(); ++y) {
+      for (int x = 0; x < grid.nx(); ++x) {
+        const auto e = static_cast<std::size_t>(grid.wireEdgeId(x, y, layer));
+        const int distinct = distinctOn(e);
+        if (distinct <= tracks) continue;
+        int windowDistinct = distinct;
+        int windowTracks = tracks;
+        for (int d = -1; d <= 1; d += 2) {
+          const int nxt = horizontal ? x : x + d;
+          const int nyt = horizontal ? y + d : y;
+          if (nxt < 0 || nxt >= grid.nx() || nyt < 0 || nyt >= grid.ny()) continue;
+          windowTracks += tracks;
+          windowDistinct += distinctOn(static_cast<std::size_t>(grid.wireEdgeId(nxt, nyt, layer)));
         }
-        tracksUsed.insert(wireEdgeNets[k].second, r);
+        if (windowDistinct <= windowTracks) continue;  // a detour is still possible
+
+        const Rect cell = gcellRect(grid, x, y);
+        const Dbu pitch = std::max<Dbu>(1, metal.pitch);
+        const Dbu width = std::max<Dbu>(1, metal.width);
+        RectIndex tracksUsed(cell, pitch);
+        const NetId* nets = edgeNets.data() + bucket[e];
+        for (int k = 0; k < distinct; ++k) {
+          const int track = k % tracks;
+          const Rect r = horizontal ? Rect{cell.xlo, cell.ylo + track * pitch, cell.xhi,
+                                           cell.ylo + track * pitch + width}
+                                    : Rect{cell.xlo + track * pitch, cell.ylo,
+                                           cell.xlo + track * pitch + width, cell.yhi};
+          const std::vector<std::int32_t> hit = tracksUsed.queryOverlapping(r);
+          if (!hit.empty()) {
+            Violation v;
+            v.kind = ViolationKind::kShort;
+            v.net = nets[k];
+            v.otherNet = static_cast<NetId>(hit.front());
+            v.layer = layer;
+            v.rect = r;
+            v.detail = "nets " + nl.net(v.net).name + " and " + nl.net(v.otherNet).name +
+                       " share a track on " + metal.name + " in gcell (" + std::to_string(x) +
+                       "," + std::to_string(y) + "): " + std::to_string(distinct) +
+                       " nets on " + std::to_string(tracks) +
+                       " physical tracks, detour window exhausted";
+            rep.violations.push_back(std::move(v));
+          }
+          tracksUsed.insert(nets[k], r);
+        }
       }
     }
-    i = j;
   }
 }
 

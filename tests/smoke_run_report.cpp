@@ -9,7 +9,9 @@
 /// on at least two distinct worker tracks, and counter tracks for the
 /// placer HPWL and router overflow series. With the stage cache on, the
 /// leaf spans that attribute checkpoint I/O (db.keys, db.save, db.restore),
-/// repeater insertion and signoff STA/power must be present too.
+/// repeater insertion and signoff STA/power must be present too, and an ECO
+/// run's leaf spans for its seed pass, extraction, presize and timing-engine
+/// builds.
 
 #include <cstdlib>
 #include <filesystem>
@@ -229,6 +231,14 @@ int main() {
   checkChild(child(ecoOut.report.root, "route"), "route", "route.eco_seed");
   checkChild(child(ecoOut.report.root, "extract"), "extract", "extract.nets");
   checkChild(child(ecoOut.report.root, "extract"), "extract", "extract.clock");
+  // Post-route sizing's presize and each timing-engine build are leaf spans
+  // too (the build under post_route_opt and under signoff.sta).
+  const obs::Span* postRouteOpt = child(ecoOut.report.root, "post_route_opt");
+  checkChild(postRouteOpt, "post_route_opt", "opt.presize");
+  checkChild(postRouteOpt, "post_route_opt", "sta.build");
+  const obs::Span* signoff = child(ecoOut.report.root, "signoff");
+  checkChild(signoff != nullptr ? child(*signoff, "signoff.sta") : nullptr, "signoff.sta",
+             "sta.build");
   std::filesystem::remove_all(cacheDir);
 
   if (gFailures == 0) {

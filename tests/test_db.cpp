@@ -14,6 +14,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -496,7 +497,7 @@ int checkpointFileCount(const std::string& dir) {
 }
 
 struct CacheCounters {
-  double hits, misses, writes, restoreFailures;
+  std::int64_t hits, misses, writes, restoreFailures;
   static CacheCounters read() {
     return CacheCounters{obs::counter("db.stage_cache_hits").value(),
                          obs::counter("db.stage_cache_misses").value(),
@@ -605,11 +606,21 @@ TEST(DbCheckpoint, TruncatedSectionsFailClosed) {
   fs::remove_all(dir);
 }
 
-// Ids that one section holds into the netlist are range-checked. The
-// section hashes are unkeyed, so a checkpoint with matching hashes can still
-// hold a CTS buffer, route table, parasitics table or latency vector that
-// does not fit the netlist; it must fail closed instead of crashing the
-// stage after it.
+/// The first route segment of \p routes that is a via when \p via, else a wire.
+RouteSeg& firstSeg(RoutingResult& routes, bool via) {
+  for (NetRoute& r : routes.nets) {
+    for (RouteSeg& s : r.segs) {
+      if (s.isVia == via) return s;
+    }
+  }
+  throw std::logic_error("no such route segment");
+}
+
+// Ids that one section holds into the netlist or the routing grid are
+// range-checked. The section hashes are unkeyed, so a checkpoint with
+// matching hashes can still hold a CTS buffer, route table, route segment,
+// parasitics table or latency vector that does not fit the design; it must
+// fail closed instead of crashing the stage after it.
 TEST(DbCheckpoint, CrossSectionIdsAreRangeChecked) {
   FlowOutput live = runFlowMacro3D(makeTinyTileConfig(), dbTinyOptions());
   ASSERT_FALSE(live.cts.buffers.empty());
@@ -631,6 +642,13 @@ TEST(DbCheckpoint, CrossSectionIdsAreRangeChecked) {
       {"CTS outputNet out of range",
        [](FlowOutput& o) { o.cts.buffers[0].outputNet = o.tile->netlist.numNets(); }},
       {"one route net short", [](FlowOutput& o) { o.routes.nets.pop_back(); }},
+      {"route segment layer past the stack",
+       [](FlowOutput& o) {
+         RouteSeg& s = firstSeg(o.routes, false);
+         s.layer = o.routingBeol.numMetals();
+       }},
+      {"route segment node past the grid",
+       [](FlowOutput& o) { firstSeg(o.routes, true).toNode = o.grid->numNodes(); }},
       {"one parasitics entry short", [](FlowOutput& o) { o.paras.pop_back(); }},
       {"one parasitics entry one pin short",
        [](FlowOutput& o) {
@@ -669,14 +687,15 @@ TEST(DbCheckpoint, CrossSectionIdsAreRangeChecked) {
 }
 
 /// Whether \p v, encoded as it is (the writer checks nothing), decodes back
-/// into \p out against \p design.
+/// into \p out against \p design and the grid of \p routingBeol over \p die.
 template <typename T>
-bool decodes(const T& v, T out, const Netlist* design = nullptr) {
+bool decodes(const T& v, T out, const Netlist* design = nullptr,
+             const Beol* routingBeol = nullptr, const Rect* die = nullptr) {
   db::BinWriter w;
   db::encode(w, v);
   const std::vector<std::uint8_t> bytes = w.take();
   db::BinReader r(bytes);
-  return db::decode(r, out, design) && r.atEnd();
+  return db::decode(r, out, design, routingBeol, die) && r.atEnd();
 }
 
 // Every rule the decoders enforce, broken one at a time in otherwise intact
@@ -714,11 +733,15 @@ TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
   Beol noCut;  // two metals' worth of layers short of a cut
   noCut.addMetal(o.routingBeol.metal(0));
   noCut.addCut(o.routingBeol.cut(0));
-  // A copy of \p v edited by \p edit, decoded against the flow's netlist.
+  // A copy of \p v edited by \p edit, decoded against the flow's netlist
+  // and routing grid.
   const auto inDesign = [&](auto v, auto edit) {
     edit(v);
-    return decodes(v, decltype(v){}, &nl);
+    return decodes(v, decltype(v){}, &nl, &o.routingBeol, &o.fp.die);
   };
+  const int metals = o.routingBeol.numMetals();
+  const int cuts = o.routingBeol.numCuts();
+  const int gridNodes = o.grid->numNodes();
   using Groups = TileGroups;
   using Routes = RoutingResult;
   using Paras = std::vector<NetParasitics>;
@@ -764,6 +787,14 @@ TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
        inDesign(o.cts, [&](CtsResult& c) { c.buffers[0].outputNet = nl.numNets(); })},
       {"route layer", inDesign(o.routes, [](Routes& r) { r.nets[0].segs = {{false, -1, 0, 0}}; })},
       {"route node", inDesign(o.routes, [](Routes& r) { r.nets[0].segs = {{true, 0, -1, 0}}; })},
+      {"route wire layer past the metals",
+       inDesign(o.routes, [&](Routes& r) { r.nets[0].segs = {{false, metals, 0, 1}}; })},
+      {"route via layer past the cuts",
+       inDesign(o.routes, [&](Routes& r) { r.nets[0].segs = {{true, cuts, 0, 1}}; })},
+      {"route from node past the grid",
+       inDesign(o.routes, [&](Routes& r) { r.nets[0].segs = {{false, 0, gridNodes, 0}}; })},
+      {"route to node past the grid",
+       inDesign(o.routes, [&](Routes& r) { r.nets[0].segs = {{false, 0, 0, gridNodes}}; })},
       {"route table length", inDesign(o.routes, [](Routes& r) { r.nets.pop_back(); })},
       {"parasitics table length", inDesign(o.paras, [](Paras& p) { p.pop_back(); })},
       {"parasitics pin count",
@@ -781,7 +812,11 @@ TEST(DbCodec, EachDecodeRuleRejectsItsViolation) {
   EXPECT_TRUE(beol([](Beol&) {}));
   EXPECT_TRUE(inDesign(o.tile->groups, [](Groups&) {}));
   EXPECT_TRUE(inDesign(o.cts, [](CtsResult&) {}));
+  EXPECT_TRUE(inDesign(o.routes, [](Routes&) {}));
   EXPECT_TRUE(inDesign(o.routes, [](Routes& r) { r.nets.clear(); }));
+  EXPECT_TRUE(inDesign(o.routes, [&](Routes& r) {
+    r.nets[0].segs = {{false, metals - 1, gridNodes - 1, 0}, {true, cuts - 1, 0, gridNodes - 1}};
+  }));
   EXPECT_TRUE(inDesign(o.paras, [](Paras& p) { p.clear(); }));
   EXPECT_TRUE(inDesign(o.clock, [](ClockModel& c) { c.latency.clear(); }));
   EXPECT_TRUE(inDesign(o.verify, [](VerifyReport&) {}));
@@ -797,17 +832,17 @@ TEST(FlowDbCache, WarmRerunRestoresAllStagesBitIdentical) {
   const CacheCounters c0 = CacheCounters::read();
   const FlowOutput cold = runFlowMacro3D(makeTinyTileConfig(), opt);
   const CacheCounters c1 = CacheCounters::read();
-  EXPECT_EQ(c1.hits - c0.hits, 0.0);
-  EXPECT_EQ(c1.misses - c0.misses, 7.0);
-  EXPECT_EQ(c1.writes - c0.writes, 7.0);
+  EXPECT_EQ(c1.hits - c0.hits, 0);
+  EXPECT_EQ(c1.misses - c0.misses, 7);
+  EXPECT_EQ(c1.writes - c0.writes, 7);
   EXPECT_EQ(checkpointFileCount(dir), 7);
 
   const FlowOutput warm = runFlowMacro3D(makeTinyTileConfig(), opt);
   const CacheCounters c2 = CacheCounters::read();
-  EXPECT_EQ(c2.hits - c1.hits, 7.0);  // the whole pipeline restored
-  EXPECT_EQ(c2.misses - c1.misses, 0.0);
-  EXPECT_EQ(c2.writes - c1.writes, 0.0);
-  EXPECT_EQ(c2.restoreFailures - c1.restoreFailures, 0.0);
+  EXPECT_EQ(c2.hits - c1.hits, 7);  // the whole pipeline restored
+  EXPECT_EQ(c2.misses - c1.misses, 0);
+  EXPECT_EQ(c2.writes - c1.writes, 0);
+  EXPECT_EQ(c2.restoreFailures - c1.restoreFailures, 0);
   EXPECT_EQ(checkpointFileCount(dir), 7);  // nothing re-written
 
   // The restored run is the cold run, bit for bit.
@@ -838,9 +873,9 @@ TEST(FlowDbCache, BumpPitchEcoReusesPreRouteStages) {
   const CacheCounters c0 = CacheCounters::read();
   const FlowOutput inc = runFlowMacro3D(makeTinyTileConfig(), eco);
   const CacheCounters c1 = CacheCounters::read();
-  EXPECT_EQ(c1.hits - c0.hits, 3.0);    // place, pre_route_opt, cts
-  EXPECT_EQ(c1.misses - c0.misses, 4.0);  // route..signoff
-  EXPECT_EQ(c1.writes - c0.writes, 4.0);
+  EXPECT_EQ(c1.hits - c0.hits, 3);    // place, pre_route_opt, cts
+  EXPECT_EQ(c1.misses - c0.misses, 4);  // route..signoff
+  EXPECT_EQ(c1.writes - c0.writes, 4);
   EXPECT_EQ(checkpointFileCount(dir), 11);
 
   // The incremental result must be bit-identical to a cold run of the same
@@ -873,9 +908,9 @@ TEST(FlowDbCache, SearchHaloEcoRecomputesRouteOnward) {
   const CacheCounters c0 = CacheCounters::read();
   const FlowOutput inc = runFlowMacro3D(makeTinyTileConfig(), eco);
   const CacheCounters c1 = CacheCounters::read();
-  EXPECT_EQ(c1.hits - c0.hits, 3.0);      // place, pre_route_opt, cts
-  EXPECT_EQ(c1.misses - c0.misses, 4.0);  // route..signoff
-  EXPECT_EQ(c1.writes - c0.writes, 4.0);
+  EXPECT_EQ(c1.hits - c0.hits, 3);      // place, pre_route_opt, cts
+  EXPECT_EQ(c1.misses - c0.misses, 4);  // route..signoff
+  EXPECT_EQ(c1.writes - c0.writes, 4);
   EXPECT_EQ(checkpointFileCount(dir), 11);
 
   // The incremental result must be bit-identical to a cold run of the same

@@ -140,6 +140,13 @@ struct CloudParam {
   std::uint64_t seed;
 };
 
+/// Names each instance by its values (ctest lists parameterized tests by the
+/// printed parameter; gtest's default byte dump includes the padding bytes
+/// after `levels`, which differ from build to build).
+void PrintTo(const CloudParam& p, std::ostream* os) {
+  *os << "g" << p.gates << "_r" << p.regs << "_l" << p.levels << "_s" << p.seed;
+}
+
 class LogicCloudTest : public ::testing::TestWithParam<CloudParam> {};
 
 TEST_P(LogicCloudTest, GeneratesValidRegisterBoundedLogic) {

@@ -255,6 +255,22 @@ TEST(ServeQueue, CancelOnlyQueuedJobs) {
   EXPECT_EQ(q.find(id2)->state, JobState::kDone);
 }
 
+// find() and waitJob() hand out snapshots: an executor updates the live job
+// under the queue lock, so a status or result reader must not see it change
+// under its feet (reading the live job raced with dequeue and complete).
+TEST(ServeQueue, FindAndWaitReturnSnapshots) {
+  JobQueue q;
+  const std::uint64_t id = q.submit(tinySpec());
+  const std::shared_ptr<const Job> queued = q.find(id);
+  ASSERT_NE(queued, nullptr);
+  ASSERT_NE(q.dequeue(), nullptr);
+  const std::shared_ptr<const Job> running = q.waitJob(id, 1);
+  q.complete(id, true, JobResult{}, "");
+  EXPECT_EQ(queued->state, JobState::kQueued);
+  EXPECT_EQ(running->state, JobState::kRunning);
+  EXPECT_EQ(q.find(id)->state, JobState::kDone);
+}
+
 TEST(ServeQueue, CloseCancelsQueuedAndUnblocksDequeue) {
   // A worker blocked in dequeue() on an empty queue is released by close().
   {

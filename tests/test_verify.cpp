@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/macro3d.hpp"
+#include "db/hash.hpp"
+#include "db/serialize.hpp"
 #include "flows/flows.hpp"
 #include "verify/verify.hpp"
 
@@ -100,7 +103,9 @@ TEST_F(VerifySignoff, DeletedSegmentCaughtAsOpen) {
   }
   // Every error the scoped run reports points at the corrupted net.
   for (const Violation& v : rep.violations) {
-    if (severityOf(v.kind) == Severity::kError) EXPECT_EQ(v.net, victim);
+    if (severityOf(v.kind) == Severity::kError) {
+      EXPECT_EQ(v.net, victim);
+    }
   }
 }
 
@@ -218,6 +223,112 @@ TEST_F(VerifySignoff, DroppedF2fViaCaughtByInterfaceCheck) {
             out_->verify.f2fBumpCount -
                 out_->verify.f2fBumpsPerNet[static_cast<std::size_t>(victim)]);
   EXPECT_EQ(rep.f2fBumpsPerNet[static_cast<std::size_t>(victim)], 0);
+}
+
+/// One XXH64 over everything a report states except the per-net bump
+/// census: the totals, the recounts and every kept violation.
+std::uint64_t reportHash(const VerifyReport& rep) {
+  db::BinWriter w;
+  w.i64(rep.errors);
+  w.i64(rep.warnings);
+  w.i32(rep.recomputedOverflowedEdges);
+  w.i64(rep.recomputedTotalOverflow);
+  w.i64(rep.f2fBumpCount);
+  w.u64(rep.violations.size());
+  for (const Violation& v : rep.violations) {
+    w.u8(static_cast<std::uint8_t>(v.kind));
+    w.i32(v.net);
+    w.i32(v.otherNet);
+    w.i32(v.cell);
+    w.i32(v.layer);
+    w.i64(v.rect.xlo);
+    w.i64(v.rect.ylo);
+    w.i64(v.rect.xhi);
+    w.i64(v.rect.yhi);
+    w.str(v.detail);
+  }
+  return db::contentHash64(w.buffer().data(), w.size());
+}
+
+/// The signoff fixture (one tiny Macro-3D flow) under its own suite name.
+class VerifyGolden : public VerifySignoff {};
+
+// Every fault the DRC and connectivity checkers look for, injected at once
+// into the tiny Macro-3D flow's routes, gives one fixed report at 1, 2 and
+// 8 threads. The hash pins its order, payloads and detail strings; it was
+// recorded with the sort-based DRC recount and connectivity check, so the
+// flat kernels must reproduce their reports exactly.
+TEST_F(VerifyGolden, FaultInjectedReportIsPinned) {
+  const Netlist& nl = out_->tile->netlist;
+  const RouteGrid& grid = *out_->grid;
+  RoutingResult routes = out_->routes;
+  const auto routedNets = [&](std::size_t minSegs, std::size_t pins) {
+    std::vector<NetId> found;
+    for (NetId n = 0; n < static_cast<NetId>(routes.nets.size()); ++n) {
+      const NetRoute& r = routes.nets[static_cast<std::size_t>(n)];
+      if (r.routed && r.segs.size() >= minSegs && nl.net(n).pins.size() == pins) {
+        found.push_back(n);
+      }
+    }
+    return found;
+  };
+  const std::vector<NetId> twoPin = routedNets(6, 2);
+  const std::vector<NetId> threePin = routedNets(6, 3);
+  ASSERT_GE(twoPin.size(), 4u);
+  ASSERT_GE(threePin.size(), 2u);
+  const auto segsOf = [&](NetId n) -> std::vector<RouteSeg>& {
+    return routes.nets[static_cast<std::size_t>(n)].segs;
+  };
+
+  // A deleted segment: the net opens.
+  std::vector<RouteSeg>& cut = segsOf(twoPin[0]);
+  cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(cut.size() / 2));
+  // An aliased track: one wire segment above M2 copied into 120 other nets
+  // (shorts).
+  NetId owner = 0;
+  const auto isUpperWire = [](const RouteSeg& s) { return !s.isVia && s.layer >= 2; };
+  while (std::none_of(segsOf(owner).begin(), segsOf(owner).end(), isUpperWire)) ++owner;
+  const RouteSeg aliased = *std::find_if(segsOf(owner).begin(), segsOf(owner).end(), isUpperWire);
+  int stuffed = 0;
+  for (NetId n = owner + 1; n < static_cast<NetId>(routes.nets.size()) && stuffed < 120; ++n) {
+    if (!routes.nets[static_cast<std::size_t>(n)].routed || segsOf(n).empty()) continue;
+    segsOf(n).push_back(aliased);
+    ++stuffed;
+  }
+  ASSERT_EQ(stuffed, 120);
+  // An off-grid hop: a wire segment that skips a gcell.
+  const RouteSeg hopFrom = segsOf(twoPin[1]).front();
+  segsOf(twoPin[1]).push_back({false, grid.nodeLayer(hopFrom.fromNode), hopFrom.fromNode,
+                               hopFrom.fromNode + 2});
+  // A segment past the grid.
+  segsOf(twoPin[2]).push_back({false, 1, grid.numNodes() + 7, grid.numNodes() + 8});
+  // Dangling islands: two wire segments on M3 in the top-right corner,
+  // listed first, and two in the bottom-left corner, listed last, so the
+  // report's ascending node order is not the order the nodes appear in.
+  const int step = grid.layerHorizontal(2) ? 1 : grid.nx();
+  const int high = grid.nodeId(grid.nx() - 1, grid.ny() - 1, 2);
+  const int low = grid.nodeId(0, 0, 2);
+  std::vector<RouteSeg>& islands = segsOf(threePin[1]);
+  islands.insert(islands.begin(), {{false, 2, high, high - step},
+                                   {false, 2, high - step, high - 2 * step}});
+  islands.push_back({false, 2, low, low + step});
+  islands.push_back({false, 2, low + step, low + 2 * step});
+  // A segment-free net spanning several gcells.
+  segsOf(twoPin[3]).clear();
+
+  VerifyOptions vopt;
+  vopt.numThreads = 1;
+  const VerifyReport rep = verifyDesign(nl, out_->fp, grid, routes, vopt);
+  // Each injection shows up as the kind it models.
+  for (const ViolationKind kind : {ViolationKind::kOpen, ViolationKind::kShort,
+                                   ViolationKind::kOffGrid, ViolationKind::kDanglingSegment}) {
+    EXPECT_GT(rep.countOf(kind), 0) << violationKindName(kind);
+  }
+  EXPECT_EQ(reportHash(rep), 0x9e601f848e4547d3ULL) << std::hex << reportHash(rep);
+  for (const int threads : {2, 8}) {
+    vopt.numThreads = threads;
+    EXPECT_EQ(verifyDesign(nl, out_->fp, grid, routes, vopt), rep) << threads << " threads";
+  }
 }
 
 }  // namespace
