@@ -144,6 +144,11 @@ wait "$SERVE_PID"
 trap - EXIT
 test -s "$SERVE_DIR/report.json" \
   || { echo "quickcheck: m3d_serve did not flush its run report on SIGTERM"; exit 1; }
+# The cache directory is its own index: it holds the entries and the
+# publish lock file, nothing else.
+STRAY="$(ls "$SERVE_DIR/cache" | grep -v -e '\.m3ddb$' -e '^cache_index\.lock$' || true)"
+test -z "$STRAY" \
+  || { echo "quickcheck: unexpected files in the serve cache: $STRAY"; exit 1; }
 echo "quickcheck: serve daemon smoke OK (cold+warm and ECO+repeat bit-identical, report flushed)"
 
 # Serve bench baseline gate: every scalar except wall clock and the

@@ -1,41 +1,32 @@
 #include "db/stage_cache.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <cerrno>
+#include <tuple>
 #include <vector>
+
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "io/fsutil.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#endif
-
 namespace m3d::db {
-
-namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kIndexName = "cache_index.v1";
 constexpr const char* kLockName = "cache_index.lock";
-constexpr const char* kIndexMagic = "m3d.cache_index/1";
 
-/// Exclusive advisory lock on the cache directory's lock file. Guards every
-/// index mutation across threads and processes (flock is per-open-file, so
-/// each locker opens its own descriptor). On platforms without flock the
-/// lock degrades to open/close -- single-process use stays correct because
-/// all callers still serialize on the index rewrite's atomicity.
+/// Exclusive advisory lock on the cache directory's lock file: one
+/// publisher at a time across threads and processes (flock is per open
+/// file, so each locker opens its own descriptor).
 class DirLock {
  public:
   explicit DirLock(const std::string& dir) {
-#ifdef __unix__
     const std::string lockPath = dir + "/" + kLockName;
     fd_ = ::open(lockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
     if (fd_ >= 0) {
@@ -43,17 +34,12 @@ class DirLock {
         if (errno != EINTR) break;
       }
     }
-#else
-    (void)dir;
-#endif
   }
   ~DirLock() {
-#ifdef __unix__
     if (fd_ >= 0) {
       ::flock(fd_, LOCK_UN);
       ::close(fd_);
     }
-#endif
   }
   DirLock(const DirLock&) = delete;
   DirLock& operator=(const DirLock&) = delete;
@@ -62,85 +48,47 @@ class DirLock {
   int fd_ = -1;
 };
 
-struct IndexEntry {
-  std::uint64_t seq = 0;   ///< LRU order: lower = older.
+/// A file the cache wrote: an entry, or the temp file of a save whose
+/// writer was killed before its rename (or is still writing).
+struct CacheFile {
+  std::int64_t mtimeNs = 0;
+  std::string name;  ///< relative to the cache directory.
   std::int64_t bytes = 0;
-  std::string name;        ///< file name relative to the cache dir.
 };
 
-struct CacheIndex {
-  std::uint64_t nextSeq = 1;
-  std::vector<IndexEntry> entries;
-
-  std::int64_t totalBytes() const {
-    std::int64_t t = 0;
-    for (const IndexEntry& e : entries) t += e.bytes;
-    return t;
-  }
-
-  IndexEntry* find(const std::string& name) {
-    for (IndexEntry& e : entries) {
-      if (e.name == name) return &e;
-    }
-    return nullptr;
-  }
-};
-
-/// Rebuilds the index from a directory scan (missing/corrupt index file, or
-/// entries published by a binary that predates the index). Derived state:
-/// LRU order degrades to filename order, which is still deterministic.
-CacheIndex rebuildFromScan(const std::string& dir) {
-  CacheIndex idx;
-  std::error_code ec;
-  std::vector<std::string> names;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
-    if (!it->is_regular_file(ec)) continue;
-    if (it->path().extension() != ".m3ddb") continue;
-    names.push_back(it->path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  for (const std::string& n : names) {
-    const std::int64_t bytes = io::fileSizeBytes(dir + "/" + n);
-    if (bytes < 0) continue;
-    idx.entries.push_back(IndexEntry{idx.nextSeq++, bytes, n});
-  }
-  return idx;
+/// True for the names the cache writes: `*.m3ddb` entries and the
+/// `*.m3ddb.tmp.<pid>.<seq>` temp files of io::atomicWriteFile.
+bool isCacheFile(std::string_view name) {
+  return name.ends_with(".m3ddb") || name.find(".m3ddb.tmp.") != std::string_view::npos;
 }
 
-/// Parses the index file; falls back to a directory scan on any mismatch.
-/// The scan also reconciles entries that exist on disk but are missing from
-/// the index (a writer crashed between publish and index update).
-CacheIndex loadIndex(const std::string& dir) {
-  std::ifstream f(dir + "/" + kIndexName);
-  if (!f) return rebuildFromScan(dir);
-  CacheIndex idx;
-  std::string magic;
-  if (!(f >> magic) || magic != kIndexMagic || !(f >> idx.nextSeq)) {
-    return rebuildFromScan(dir);
-  }
-  IndexEntry e;
-  while (f >> e.seq >> e.bytes >> e.name) {
-    if (e.seq >= idx.nextSeq || e.bytes < 0 || e.name.empty()) {
-      return rebuildFromScan(dir);
+/// Every regular cache file in \p dir, least recently used first: by
+/// modification time, ties broken by name. One fstatat per file: the scan
+/// runs on every publish.
+std::vector<CacheFile> scanCacheFiles(const std::string& dir) {
+  std::vector<CacheFile> files;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return files;
+  while (const dirent* e = ::readdir(d)) {
+    struct stat st {};
+    if (!isCacheFile(e->d_name) ||
+        ::fstatat(::dirfd(d), e->d_name, &st, AT_SYMLINK_NOFOLLOW) != 0 || !S_ISREG(st.st_mode)) {
+      continue;  // not the cache's, or gone since readdir
     }
-    // Drop index entries whose file has vanished (external cleanup).
-    if (io::fileExists(dir + "/" + e.name)) idx.entries.push_back(e);
+    files.push_back({st.st_mtim.tv_sec * std::int64_t{1'000'000'000} + st.st_mtim.tv_nsec,
+                     e->d_name, static_cast<std::int64_t>(st.st_size)});
   }
-  return idx;
+  ::closedir(d);
+  std::sort(files.begin(), files.end(), [](const CacheFile& a, const CacheFile& b) {
+    return std::tie(a.mtimeNs, a.name) < std::tie(b.mtimeNs, b.name);
+  });
+  return files;
 }
 
-void saveIndex(const std::string& dir, const CacheIndex& idx) {
-  std::ostringstream os;
-  os << kIndexMagic << ' ' << idx.nextSeq << '\n';
-  for (const IndexEntry& e : idx.entries) {
-    os << e.seq << ' ' << e.bytes << ' ' << e.name << '\n';
-  }
-  const std::string text = os.str();
-  std::vector<std::uint8_t> bytes(text.begin(), text.end());
-  std::string err;
-  if (!io::atomicWriteFile(dir + "/" + kIndexName, bytes, &err)) {
-    M3D_LOG(warn) << "stage cache: index write failed: " << err;
-  }
+std::int64_t totalBytes(const std::vector<CacheFile>& files) {
+  std::int64_t total = 0;
+  for (const CacheFile& f : files) total += f.bytes;
+  return total;
 }
 
 }  // namespace
@@ -179,74 +127,43 @@ bool StageCache::has(int stageIdx, std::string_view stageName, std::uint64_t key
 
 void StageCache::noteStored(const std::string& entryPath) {
   if (!enabled()) return;
-  const std::string name = fs::path(entryPath).filename().string();
+  const std::string_view name =
+      std::string_view(entryPath).substr(entryPath.find_last_of('/') + 1);
   DirLock lock(dir_);
-  CacheIndex idx = loadIndex(dir_);
-  const std::int64_t bytes = io::fileSizeBytes(entryPath);
-  if (IndexEntry* e = idx.find(name)) {
-    e->seq = idx.nextSeq++;
-    if (bytes >= 0) e->bytes = bytes;
-  } else if (bytes >= 0) {
-    idx.entries.push_back(IndexEntry{idx.nextSeq++, bytes, name});
-  }
+  const std::vector<CacheFile> files = scanCacheFiles(dir_);
+  std::int64_t total = totalBytes(files);
   // LRU eviction under the byte budget; the entry just published is exempt
   // (evicting it would turn its own run's restore into a guaranteed miss).
-  if (opt_.maxBytes > 0) {
-    while (idx.totalBytes() > opt_.maxBytes) {
-      std::size_t victim = idx.entries.size();
-      std::uint64_t oldest = ~0ull;
-      for (std::size_t i = 0; i < idx.entries.size(); ++i) {
-        if (idx.entries[i].name == name) continue;
-        if (idx.entries[i].seq < oldest) {
-          oldest = idx.entries[i].seq;
-          victim = i;
-        }
-      }
-      if (victim == idx.entries.size()) break;  // only the new entry remains
-      const IndexEntry& v = idx.entries[victim];
-      std::error_code ec;
-      fs::remove(dir_ + "/" + v.name, ec);
-      obs::counter("db.stage_cache_evictions").add(1);
-      obs::counter("db.stage_cache_evicted_bytes").add(v.bytes);
-      M3D_LOG(debug) << "stage cache: evicted " << v.name << " (" << v.bytes << " B, LRU)";
-      idx.entries.erase(idx.entries.begin() + static_cast<std::ptrdiff_t>(victim));
+  for (const CacheFile& f : files) {
+    if (opt_.maxBytes <= 0 || total <= opt_.maxBytes) break;
+    if (f.name == name) continue;
+    if (::unlink((dir_ + "/" + f.name).c_str()) != 0) {
+      if (errno == ENOENT) total -= f.bytes;  // gone: renamed by its writer, or removeEntry
+      continue;
     }
+    total -= f.bytes;
+    obs::counter("db.stage_cache_evictions").add(1);
+    obs::counter("db.stage_cache_evicted_bytes").add(f.bytes);
+    M3D_LOG(debug) << "stage cache: evicted " << f.name << " (" << f.bytes << " B, LRU)";
   }
-  obs::gauge("db.stage_cache_bytes").set(static_cast<double>(idx.totalBytes()));
-  saveIndex(dir_, idx);
+  obs::gauge("db.stage_cache_bytes").set(static_cast<double>(total));
 }
 
 void StageCache::noteUsed(const std::string& entryPath) {
   if (!enabled()) return;
-  const std::string name = fs::path(entryPath).filename().string();
-  DirLock lock(dir_);
-  CacheIndex idx = loadIndex(dir_);
-  if (IndexEntry* e = idx.find(name)) {
-    e->seq = idx.nextSeq++;
-  }
-  saveIndex(dir_, idx);
+  // A concurrent eviction may have unlinked the entry; then there is
+  // nothing to touch.
+  ::utimensat(AT_FDCWD, entryPath.c_str(), nullptr, 0);
 }
 
 void StageCache::removeEntry(const std::string& entryPath) {
   if (!enabled()) return;
-  const std::string name = fs::path(entryPath).filename().string();
-  DirLock lock(dir_);
-  CacheIndex idx = loadIndex(dir_);
-  std::error_code ec;
-  fs::remove(dir_ + "/" + name, ec);
-  for (std::size_t i = 0; i < idx.entries.size(); ++i) {
-    if (idx.entries[i].name == name) {
-      idx.entries.erase(idx.entries.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
-  saveIndex(dir_, idx);
+  ::unlink(entryPath.c_str());
 }
 
-std::int64_t StageCache::indexedBytes() const {
+std::int64_t StageCache::diskBytes() const {
   if (!enabled()) return -1;
-  DirLock lock(dir_);
-  return loadIndex(dir_).totalBytes();
+  return totalBytes(scanCacheFiles(dir_));
 }
 
 }  // namespace m3d::db

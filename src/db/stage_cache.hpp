@@ -26,18 +26,16 @@
 ///   atomic replacement (io::atomicWriteFile), so a reader never parses a
 ///   torn file. Two jobs racing on the same key deterministically compute
 ///   identical bytes; whichever rename lands last wins whole.
-/// - Bookkeeping (LRU order, total size, eviction) lives in a single-writer
-///   index file, <dir>/cache_index.v1, mutated only under an exclusive OS
-///   file lock on <dir>/cache_index.lock -- one writer at a time across all
-///   threads AND processes sharing the directory. A missing or corrupt
-///   index is rebuilt from a directory scan; it is derived state, never
-///   authoritative for entry validity.
-/// - Eviction: when StageCacheOptions::maxBytes > 0, publishing an entry
-///   evicts least-recently-used entries (lowest index sequence number)
-///   until the directory fits the budget; the entry just published is never
-///   evicted. Hits bump an entry's sequence number (noteUsed). A reader
-///   that loses the race with an eviction simply misses and recomputes --
-///   the fail-closed restore path makes that safe.
+/// - The directory is the only record. LRU order is each entry file's
+///   modification time, ties broken by name; a hit touches it (noteUsed).
+/// - A publish (noteStored) scans the directory under an exclusive OS file
+///   lock on <dir>/cache_index.lock, one publisher at a time across threads
+///   AND processes. With StageCacheOptions::maxBytes > 0 it unlinks the
+///   least recently used cache files -- entries, and temp files of saves
+///   killed before their rename; never another file, nor the entry just
+///   published -- until the directory fits. A reader that loses the race
+///   with an eviction simply misses and recomputes -- the fail-closed
+///   restore path makes that safe.
 /// Counters: db.stage_cache_evictions, db.stage_cache_evicted_bytes, and
 /// the db.stage_cache_bytes gauge surface through the obs run report.
 
@@ -49,7 +47,7 @@ namespace m3d::db {
 
 /// Behavior knobs of the shared stage cache.
 struct StageCacheOptions {
-  /// Byte budget of the cache directory (entry payloads only). 0 keeps the
+  /// Byte budget of the cache directory (entry and temp files). 0 keeps the
   /// cache unbounded; > 0 enables LRU eviction at publish time.
   std::int64_t maxBytes = 0;
 };
@@ -66,32 +64,29 @@ class StageCache {
 
   bool enabled() const { return !dir_.empty(); }
   bool resumeEnabled() const { return enabled() && resume_; }
-  const std::string& dir() const { return dir_; }
-  const StageCacheOptions& options() const { return opt_; }
 
   /// Checkpoint file path of (\p stageIdx, \p stageName, \p key).
   std::string path(int stageIdx, std::string_view stageName, std::uint64_t key) const;
   /// True when the checkpoint file exists (the cache-hit test).
   bool has(int stageIdx, std::string_view stageName, std::uint64_t key) const;
 
-  /// Publishes a just-written entry file: under the index lock, records it
-  /// as most recently used and evicts LRU entries while the directory
-  /// exceeds the byte budget (the published entry is exempt). Call after a
-  /// successful atomic write of \p entryPath.
+  /// Publishes a just-written entry file: under the directory lock, evicts
+  /// the least recently used cache files while the directory exceeds the
+  /// byte budget (\p entryPath is exempt). Call after a successful atomic
+  /// write of \p entryPath.
   void noteStored(const std::string& entryPath);
-  /// LRU touch: under the index lock, bumps \p entryPath to most recently
-  /// used. Call after a successful restore from the entry.
+  /// LRU touch without the lock: sets \p entryPath's modification time to
+  /// now. Call after a restore from the entry, or instead of rewriting it.
   void noteUsed(const std::string& entryPath);
-  /// Self-heal: unlinks \p entryPath and drops its index record, under the
-  /// index lock. Called when a restore finds the entry corrupt (a torn
-  /// write from a crashed producer), so the recomputing run can re-publish
-  /// a good copy instead of the stale bytes shadowing the key forever.
+  /// Self-heal: unlinks \p entryPath. Called when a restore finds the entry
+  /// corrupt (a torn write from a crashed producer), so the recomputing run
+  /// can re-publish a good copy instead of the stale bytes shadowing the
+  /// key forever.
   void removeEntry(const std::string& entryPath);
 
-  /// Total entry bytes currently indexed (reads the index under the lock;
-  /// rebuilds it from a directory scan when missing/corrupt). -1 when the
-  /// cache is disabled.
-  std::int64_t indexedBytes() const;
+  /// Total bytes of the files the cache wrote that are in the directory
+  /// now (a directory scan). -1 when the cache is disabled.
+  std::int64_t diskBytes() const;
 
  private:
   std::string dir_;

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <string_view>
@@ -506,7 +507,9 @@ void runRoute(FlowOutput& out, const FlowOptions& opt, const PipelineFlags&,
       ecoRouted = true;
       phase.attr("eco_nets_ripped", static_cast<double>(out.routes.ecoNetsRipped));
       phase.attr("eco_nets_reused", static_cast<double>(out.routes.ecoNetsReused));
-      trace << "eco route: seed=" << opt.ecoRouteFrom
+      // The seed's file name is its content key; its directory must not
+      // reach the checkpointed trace (and through it the artifact hash).
+      trace << "eco route: seed=" << std::filesystem::path(opt.ecoRouteFrom).filename().string()
             << " ripped=" << out.routes.ecoNetsRipped
             << " reused=" << out.routes.ecoNetsReused
             << " dirty_gcells=" << out.routes.ecoDirtyGcells << "\n";
@@ -795,7 +798,7 @@ int restoreCachedPrefix(db::StageCache& cache, const std::array<std::uint64_t, 7
   }
   trace << restoredTrace;
   obs::counter("db.stage_cache_hits").add(deepest + 1);
-  cache.noteUsed(path);  // LRU touch under the shared-cache index lock
+  cache.noteUsed(path);  // LRU touch
   if (const std::int64_t bytes = io::fileSizeBytes(path); bytes > 0) {
     obs::counter("db.stage_cache_bytes_read").add(bytes);
   }
@@ -833,7 +836,7 @@ void publishCheckpoint(db::StageCache& cache, const std::string& path, const Flo
   if (const std::int64_t bytes = io::fileSizeBytes(path); bytes > 0) {
     obs::counter("db.stage_cache_bytes_written").add(bytes);
   }
-  cache.noteStored(path);  // index entry + LRU eviction under the budget
+  cache.noteStored(path);  // LRU eviction under the budget
 }
 
 }  // namespace

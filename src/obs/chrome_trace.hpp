@@ -35,10 +35,10 @@ int threadTrackId();
 void setThreadTrackId(int id);
 
 /// Allocates a fresh aux track id (64+) with a display name the exporter
-/// emits as the track's thread_name metadata. m3d_serve claims one track
-/// per job ("job-<id>") and pins each job's executor thread to it with
+/// emits as the track's thread_name metadata. A traced m3d_serve claims one
+/// track per job ("job-<id>") and pins each job's executor thread to it with
 /// setThreadTrackId, so a server trace shows one span track per job.
-/// Cheap, lock-protected, and callable whether or not a trace is active.
+/// Cheap and lock-protected; the names are kept for the process lifetime.
 int claimNamedAuxTrack(const std::string& name);
 
 /// One buffered trace event.

@@ -471,7 +471,11 @@ std::string Server::handleRequest(const obs::JsonValue& req, bool* shutdownAfter
 
 void Server::executorLoop() {
   while (std::shared_ptr<Job> job = queue_.dequeue()) {
-    obs::setThreadTrackId(obs::claimNamedAuxTrack("job-" + std::to_string(job->id)));
+    // A named track per job, only while tracing: the track-name table
+    // never shrinks, so an untraced daemon claims none.
+    if (obs::TraceCollector::global().enabled()) {
+      obs::setThreadTrackId(obs::claimNamedAuxTrack("job-" + std::to_string(job->id)));
+    }
     JobResult result;
     std::string err;
     const bool ok = runJob(*job, runner_, &result, &err);

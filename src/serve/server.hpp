@@ -15,9 +15,9 @@
 ///     one connection are processed in order, connections are independent.
 ///     A request line over 1 MiB gets an error reply and its connection is
 ///     closed. Finished handlers are joined at the next accept.
-///   - each executor claims a named trace track per job ("job-<id>") and
-///     pins itself to it before running the flow, so a traced server shows
-///     one span track per job.
+///   - while a trace is being collected, each executor claims a named trace
+///     track per job ("job-<id>") and pins itself to it before running the
+///     flow, so a traced server shows one span track per job.
 ///
 /// Shutdown (requestShutdown(), a client "shutdown" op, or a signal
 /// forwarded by m3d_serve_main) is graceful: the listen socket closes (no

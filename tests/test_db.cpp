@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -11,6 +13,7 @@
 #include <iomanip>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -18,6 +21,9 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "db/codec.hpp"
 #include "db/design_db.hpp"
@@ -40,7 +46,8 @@
 ///  - the content hash against XXH64 reference values and the writer's
 ///    pinned byte layout,
 ///  - codec round trips over randomized netlists/floorplans (fixed seeds),
-///  - the stage cache's content-addressed path convention.
+///  - the stage cache: its content-addressed path convention, its byte
+///    budget, and several processes publishing into one directory.
 /// Flow-level warm-rerun and ECO tests live in the FlowDb* suite (slow).
 
 namespace m3d {
@@ -478,6 +485,147 @@ TEST(DbStageCache, PathIsContentAddressedAndHasChecksExistence) {
   fs::remove_all(dir);
 }
 
+void writeFileOfSize(const std::string& path, std::int64_t bytes) {
+  const std::vector<std::uint8_t> data(static_cast<std::size_t>(bytes), 0x5A);
+  ASSERT_TRUE(io::atomicWriteFile(path, data)) << path;
+}
+
+/// Sets \p path's modification time to \p age before now.
+void ageFile(const std::string& path, std::chrono::hours age) {
+  fs::last_write_time(path, fs::file_time_type::clock::now() - age);
+}
+
+// The directory is the cache's only record. Its byte budget counts every
+// file the cache wrote -- also an entry whose publisher died between its
+// rename and noteStored, and the temp file of a save killed before its
+// rename -- and evicts the least recently used first; other files are never
+// touched.
+TEST(DbStageCache, BudgetCountsEveryFileTheCacheWrote) {
+  constexpr std::int64_t kMiB = std::int64_t{1} << 20;
+  const std::string dir = tempPath("m3d_dbtest_budget");
+  fs::remove_all(dir);
+  db::StageCacheOptions opt;
+  opt.maxBytes = 10 * kMiB;
+  db::StageCache cache(dir, /*resume=*/true, opt);
+
+  const std::string a = cache.path(0, "place", 1);
+  const std::string b = cache.path(1, "pre_route_opt", 2);
+  const std::string unpublished = cache.path(2, "cts", 3);
+  const std::string temp = cache.path(3, "route", 4) + ".tmp.999.0";
+  const std::string foreign = dir + "/notes.txt";
+  writeFileOfSize(a, 3 * kMiB);
+  cache.noteStored(a);
+  writeFileOfSize(b, 3 * kMiB);
+  cache.noteStored(b);
+  writeFileOfSize(unpublished, 6 * kMiB);
+  writeFileOfSize(temp, 2 * kMiB);
+  writeFileOfSize(foreign, kMiB);
+  // Explicit old times, so the order does not rest on the clock's
+  // resolution: the temp file oldest, then a, b and the unpublished entry.
+  ageFile(foreign, std::chrono::hours(24));
+  ageFile(temp, std::chrono::hours(12));
+  ageFile(a, std::chrono::hours(10));
+  ageFile(b, std::chrono::hours(9));
+  ageFile(unpublished, std::chrono::hours(8));
+  cache.noteUsed(a);  // a hit: a is now more recently used than b
+
+  std::vector<std::string> published;
+  for (int i = 0; i < 10; ++i) {
+    published.push_back(cache.path(4, "post_route_opt", 100 + i));
+    writeFileOfSize(published.back(), kMiB / 2);
+    cache.noteStored(published.back());
+  }
+
+  // The temp file, b and the unpublished entry went, oldest first; a, the
+  // ten new entries and the foreign file stay.
+  EXPECT_FALSE(io::fileExists(temp));
+  EXPECT_FALSE(io::fileExists(b));
+  EXPECT_FALSE(io::fileExists(unpublished));
+  EXPECT_TRUE(io::fileExists(a));
+  for (const std::string& p : published) EXPECT_TRUE(io::fileExists(p)) << p;
+  EXPECT_EQ(io::fileSizeBytes(foreign), kMiB);
+  EXPECT_EQ(cache.diskBytes(), 8 * kMiB);
+  EXPECT_EQ(obs::gauge("db.stage_cache_bytes").value(), static_cast<double>(8 * kMiB));
+  std::int64_t onDisk = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path() != foreign) onDisk += static_cast<std::int64_t>(fs::file_size(e.path()));
+  }
+  EXPECT_LE(onDisk, opt.maxBytes);
+  fs::remove_all(dir);
+}
+
+// Several processes publish into one budgeted cache directory at once:
+// eviction runs under the directory lock, hits touch entries without it.
+// Once all of them have exited, the directory fits the budget, no temp
+// file is left and every entry left is the whole file its writer wrote.
+TEST(DbCacheProcesses, ForkedPublishersShareOneBudget) {
+  constexpr int kProcs = 4;
+  constexpr int kEntries = 20;
+  constexpr std::int64_t kBudget = 64 * 1024;
+  const std::string dir = tempPath("m3d_dbtest_procs");
+  fs::remove_all(dir);
+  db::StageCacheOptions opt;
+  opt.maxBytes = kBudget;
+  db::StageCache cache(dir, /*resume=*/true, opt);
+  const auto sizeOf = [](int proc, int i) {
+    return static_cast<std::size_t>(2048 + 101 * (proc * kEntries + i));
+  };
+  std::map<std::string, std::size_t> written;  // entry name -> size
+  for (int p = 0; p < kProcs; ++p) {
+    for (int i = 0; i < kEntries; ++i) {
+      written[fs::path(cache.path(p, "proc", i)).filename().string()] = sizeOf(p, i);
+    }
+  }
+
+  // The children block on the pipe until the parent closes it, so they
+  // all publish at once.
+  int start[2] = {-1, -1};
+  ASSERT_EQ(::pipe(start), 0);
+  std::vector<pid_t> children;
+  for (int p = 0; p < kProcs; ++p) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(start[1]);
+      char c = 0;
+      while (::read(start[0], &c, 1) < 0 && errno == EINTR) {
+      }
+      for (int i = 0; i < kEntries; ++i) {
+        const std::string path = cache.path(p, "proc", i);
+        const std::vector<std::uint8_t> bytes(sizeOf(p, i), static_cast<std::uint8_t>(i));
+        if (io::atomicWriteFile(path, bytes)) cache.noteStored(path);
+        if (i % 3 == 2) cache.noteUsed(cache.path(p, "proc", i - 2));  // touch an earlier one
+      }
+      ::_exit(0);
+    }
+    children.push_back(pid);
+  }
+  ::close(start[0]);
+  ::close(start[1]);
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+
+  std::int64_t total = 0;
+  int entries = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name == "cache_index.lock") continue;
+    const std::int64_t bytes = static_cast<std::int64_t>(fs::file_size(e.path()));
+    total += bytes;
+    ASSERT_EQ(written.count(name), 1u) << name << " is not an entry";
+    EXPECT_EQ(bytes, static_cast<std::int64_t>(written[name])) << name;
+    ++entries;
+  }
+  EXPECT_GT(entries, 0);
+  EXPECT_LT(entries, kProcs * kEntries);  // the budget did evict
+  EXPECT_LE(total, kBudget);
+  EXPECT_EQ(cache.diskBytes(), total);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Flow-level stage cache + ECO (slow; FlowDb* matches the "slow" label)
 
@@ -862,8 +1010,11 @@ TEST(FlowDbCache, BumpPitchEcoReusesPreRouteStages) {
 
   FlowOptions opt = dbTinyOptions();
   opt.checkpointDir = dir;
-  (void)runFlowMacro3D(makeTinyTileConfig(), opt);  // warm the cache
+  const FlowOutput base = runFlowMacro3D(makeTinyTileConfig(), opt);  // warm the cache
   ASSERT_EQ(checkpointFileCount(dir), 7);
+  const std::string copyDir = tempPath("m3d_flowdb_eco_pitch_copy");
+  fs::remove_all(copyDir);
+  fs::copy(dir, copyDir);
 
   // ECO: double the F2F bump pitch. The combined BEOL first enters the key
   // chain at the route stage, so place/pre_route_opt/cts replay from the
@@ -888,7 +1039,26 @@ TEST(FlowDbCache, BumpPitchEcoReusesPreRouteStages) {
   EXPECT_EQ(inc.metrics.emeanFj, cold.metrics.emeanFj);
   EXPECT_EQ(inc.metrics.totalWirelengthM, cold.metrics.totalWirelengthM);
   EXPECT_EQ(inc.metrics.f2fBumps, cold.metrics.f2fBumps);
+
+  // The same ECO seeded from the base run's signoff checkpoint, against two
+  // cache directories holding the same entries, writes the same signoff
+  // checkpoint: nothing of the directory's path reaches its bytes.
+  const std::string seedName = fs::path(base.finalCheckpointPath).filename().string();
+  std::vector<std::string> names;
+  std::vector<std::vector<std::uint8_t>> signoff;
+  for (const std::string& d : {dir, copyDir}) {
+    FlowOptions seeded = eco;
+    seeded.checkpointDir = d;
+    seeded.ecoRouteFrom = d + "/" + seedName;
+    const FlowOutput out = runFlowMacro3D(makeTinyTileConfig(), seeded);
+    EXPECT_GT(out.routes.ecoNetsRipped + out.routes.ecoNetsReused, 0) << d;  // seeded
+    names.push_back(fs::path(out.finalCheckpointPath).filename().string());
+    ASSERT_TRUE(io::readFileBytes(out.finalCheckpointPath, signoff.emplace_back())) << d;
+  }
+  EXPECT_EQ(names[0], names[1]);
+  EXPECT_TRUE(signoff[0] == signoff[1]) << "signoff checkpoints differ";
   fs::remove_all(dir);
+  fs::remove_all(copyDir);
 }
 
 TEST(FlowDbCache, SearchHaloEcoRecomputesRouteOnward) {

@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "flows/flows.hpp"
 #include "io/fsutil.hpp"
 #include "netlist/openpiton.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
@@ -554,7 +558,7 @@ TEST(ServeFlowCache, ConcurrentSameKeyRaceOneWinnerBitIdentical) {
     ASSERT_EQ(a.finalCheckpointPath, b.finalCheckpointPath);
     EXPECT_EQ(fileBytes(a.finalCheckpointPath), refFinal) << "threads=" << threads;
 
-    // The index agrees with the directory after the dust settles.
+    // The cache's byte count agrees with the directory after the dust settles.
     db::StageCache cache(dir, /*resume=*/true);
     std::int64_t diskBytes = 0;
     for (const auto& e : fs::directory_iterator(dir)) {
@@ -562,7 +566,7 @@ TEST(ServeFlowCache, ConcurrentSameKeyRaceOneWinnerBitIdentical) {
         diskBytes += static_cast<std::int64_t>(fs::file_size(e.path()));
       }
     }
-    EXPECT_EQ(cache.indexedBytes(), diskBytes) << "threads=" << threads;
+    EXPECT_EQ(cache.diskBytes(), diskBytes) << "threads=" << threads;
     fs::remove_all(dir);
   }
   fs::remove_all(refDir);
@@ -630,7 +634,7 @@ TEST(ServeFlowCache, LruEvictionKeepsDirectoryUnderBudget) {
   db::StageCacheOptions copt;
   copt.maxBytes = budget;
   db::StageCache cache(dir, true, copt);
-  EXPECT_LE(cache.indexedBytes(), budget);
+  EXPECT_LE(cache.diskBytes(), budget);
   EXPECT_LT(cacheFileCount(dir), 7);
   // Eviction is bookkeeping only: the run's results are untouched.
   EXPECT_GT(out.metrics.fclkMhz, 0.0);
@@ -950,6 +954,81 @@ TEST(ServeFlowServer, GracefulShutdownDrainsRunningAndCancelsQueued) {
   // The aggregate report was still written on this shutdown path.
   EXPECT_TRUE(io::fileExists(ts.server.options().reportPath));
   fs::remove_all(tempPath("m3d_serve_drain"));
+}
+
+// The trace-track name table only grows, so an untraced daemon must not
+// claim a named track per job: two probes around three jobs get
+// consecutive ids.
+TEST(ServeFlowServer, UntracedJobsClaimNoTraceTracks) {
+  ASSERT_FALSE(obs::TraceCollector::global().enabled());
+  TestServer ts(serverOptions("m3d_serve_untraced", /*executors=*/1));
+  ASSERT_TRUE(ts.start());
+  const int before = obs::claimNamedAuxTrack("probe-before");
+  {
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connect(ts.server.options().socketPath, &err)) << err;
+    for (int i = 0; i < 3; ++i) {
+      JobResult r;
+      ASSERT_TRUE(c.runJob(tinySpec(), &r, &err)) << err;
+    }
+  }
+  const int after = obs::claimNamedAuxTrack("probe-after");
+  ts.shutdownAndJoin();
+  EXPECT_EQ(after, before + 1);
+  fs::remove_all(tempPath("m3d_serve_untraced"));
+}
+
+// A traced daemon still runs each job on its own track, named job-<id> in
+// the exported trace.
+TEST(ServeFlowServer, TracedServerNamesEachJobTrack) {
+  ServerOptions opt = serverOptions("m3d_serve_traced", /*executors=*/1);
+  opt.tracePath = tempPath("m3d_serve_traced") + "/trace.json";
+  TestServer ts(opt);
+  ASSERT_TRUE(ts.start());
+  std::vector<std::uint64_t> ids;
+  {
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connect(opt.socketPath, &err)) << err;
+    for (int i = 0; i < 2; ++i) {
+      std::uint64_t id = 0;
+      ASSERT_TRUE(c.submit(tinySpec(), &id, &err)) << err;
+      JobState state = JobState::kQueued;
+      ASSERT_TRUE(c.waitJob(id, 0, &state, &err)) << err;
+      ASSERT_EQ(state, JobState::kDone);
+      ids.push_back(id);
+    }
+  }
+  ts.shutdownAndJoin();
+
+  std::ifstream f(opt.tracePath);
+  ASSERT_TRUE(f.is_open()) << opt.tracePath;
+  std::stringstream buf;
+  buf << f.rdbuf();
+  std::string err;
+  const auto doc = obs::parseJson(buf.str(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const obs::JsonValue* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<std::string, double> tidOf;  // track name -> tid
+  std::set<double> spanTids;
+  for (const obs::JsonValue& e : events->arr) {
+    const obs::JsonValue* ph = e.find("ph");
+    const obs::JsonValue* args = e.find("args");
+    if (ph == nullptr) continue;
+    if (ph->str == "M" && args != nullptr && args->find("name") != nullptr) {
+      tidOf[args->find("name")->str] = e.numberOr("tid", -1);
+    } else if (ph->str == "X") {
+      spanTids.insert(e.numberOr("tid", -1));
+    }
+  }
+  for (const std::uint64_t id : ids) {
+    const std::string track = "job-" + std::to_string(id);
+    ASSERT_EQ(tidOf.count(track), 1u) << track;
+    EXPECT_EQ(spanTids.count(tidOf[track]), 1u) << track << " has no spans";
+  }
+  fs::remove_all(tempPath("m3d_serve_traced"));
 }
 
 }  // namespace
